@@ -13,12 +13,25 @@ use nck_cancel::CancelToken;
 use std::time::Duration;
 
 /// SplitMix64 finalizer (same mixing as the annealer's per-read seed
-/// derivation): jitter for attempt `k` of seed `s` is derived from the
-/// `k`-th element of the SplitMix64 stream at `s`.
+/// derivation).
 fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
+}
+
+/// The seed for attempt `k` derived from `seed`: attempt 0 is the
+/// caller's seed unchanged (a fault-free supervised run reproduces the
+/// plain run bit-for-bit); every later attempt is finalized through
+/// SplitMix64, so attempt `k` of seed `s` never aliases attempt 0 of a
+/// related seed such as `s ^ k·φ` (the old linear mix did exactly
+/// that). Both the supervisor's attempt seeds and the backoff jitter
+/// derive through here.
+pub(crate) fn attempt_seed(seed: u64, k: u32) -> u64 {
+    if k == 0 {
+        return seed;
+    }
+    splitmix64(splitmix64(seed) ^ u64::from(k).wrapping_mul(0x9e3779b97f4a7c15))
 }
 
 /// The cost envelope of one supervised run.
@@ -61,8 +74,9 @@ impl RunBudget {
 ///
 /// The delay before retry `k` (0-based) is
 /// `min(cap, base · 2^k) · (1 − jitter · u_k)` where `u_k ∈ [0, 1)` is
-/// drawn from the SplitMix64 stream at `seed` — fully determined by
-/// `(seed, k)`, monotonically bounded by `cap`, and never negative.
+/// the SplitMix64 finalizer of retry `k`'s derived seed — fully
+/// determined by `(seed, k)`, monotonically bounded by `cap`, and never
+/// negative.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Retries per rung after the first attempt (so a rung makes at
@@ -97,8 +111,7 @@ impl RetryPolicy {
     pub fn delay(&self, attempt: u32) -> Duration {
         let exp = self.base.as_secs_f64() * 2f64.powi(attempt.min(63) as i32);
         let capped = exp.min(self.cap.as_secs_f64());
-        let u = splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0x9e3779b97f4a7c15)) as f64
-            / u64::MAX as f64;
+        let u = splitmix64(attempt_seed(self.seed, attempt)) as f64 / u64::MAX as f64;
         let jitter = self.jitter.clamp(0.0, 1.0);
         Duration::from_secs_f64(capped * (1.0 - jitter * u))
     }
@@ -164,5 +177,34 @@ mod tests {
         let schedule = p.schedule(&b);
         let total: Duration = schedule.iter().sum();
         assert!(total <= Duration::from_millis(120), "total backoff {total:?} exceeds deadline");
+    }
+
+    /// Regression for the linear `seed ^ k·φ` mix: attempt `k` of seed
+    /// `s` equalled attempt 0 of seed `s ^ k·φ`, in the supervisor's
+    /// attempt seeds and in the backoff jitter alike.
+    #[test]
+    fn attempts_never_alias_attempt_zero_of_a_related_seed() {
+        const PHI: u64 = 0x9e3779b97f4a7c15;
+        // base == cap: every delay is `cap · (1 − u_k)`, so equal
+        // delays mean equal jitter draws.
+        let policy = |seed| RetryPolicy {
+            base: Duration::from_secs(1),
+            cap: Duration::from_secs(1),
+            jitter: 1.0,
+            seed,
+            ..RetryPolicy::default()
+        };
+        for s in (0..64u64).chain([u64::MAX, PHI, 1 << 63]) {
+            assert_eq!(attempt_seed(s, 0), s, "attempt 0 must keep the caller's seed");
+            for k in 1..16u32 {
+                let related = s ^ u64::from(k).wrapping_mul(PHI);
+                assert_ne!(attempt_seed(s, k), attempt_seed(related, 0), "seed {s} attempt {k}");
+                assert_ne!(
+                    policy(s).delay(k),
+                    policy(related).delay(0),
+                    "backoff jitter of seed {s} retry {k}"
+                );
+            }
+        }
     }
 }

@@ -15,20 +15,24 @@
 //! monotonic offsets serialized as whole seconds plus subsecond
 //! nanoseconds, so a decoded journal compares equal — `Duration` and
 //! all — to the one that was encoded. Floats travel as raw IEEE-754
-//! bits for the same reason. Decoding is an untrusted-input path
+//! bits for the same reason. A journal event's error is the same value
+//! in memory and on disk — its rendered text — so it travels as a
+//! plain string; the typed [`ExecError`](crate::ExecError) stays on
+//! [`FailedAttempt`](crate::FailedAttempt). Every other string an event
+//! carries comes from a closed vocabulary of backend, stage and
+//! fallback names: a name outside it, or a failure event written in the
+//! retired format that encoded errors structurally, decodes to a typed
+//! [`StoreError::Corrupt`]. Decoding is an untrusted-input path
 //! (the file may be truncated or bit-flipped in ways the store's CRC
 //! already rejects, but defense in depth is cheap): every decoder
 //! returns a typed error or `None`, never panics, and never allocates
 //! more than the input's own length.
 
-use crate::error::{ExecError, FaultKind};
 use crate::journal::{JournalEvent, JournalKind, RunJournal};
-use nck_anneal::{AnnealError, AnnealSample};
+use nck_anneal::AnnealSample;
 use nck_cancel::{CancelToken, Checkpointer};
-use nck_circuit::{NmState, QaoaError};
+use nck_circuit::NmState;
 use nck_classical::Incumbent;
-use nck_compile::CompileError;
-use nck_qubo::QuboIoError;
 use nck_store::{Recovered, RunStore, StoreError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -141,14 +145,16 @@ impl<'a> Reader<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| self.corrupt("invalid utf-8"))
     }
 
-    /// A `&'static str` that round-trips exactly: known vocabulary
-    /// strings (backend names, stages, budget dimensions, …) decode to
-    /// the same static, and the rare unknown string is leaked once —
-    /// journals are finite and decode happens once per resume.
-    fn static_str(&mut self) -> Result<&'static str, StoreError> {
+    /// A journaled name, decoded to the same `&'static str` the
+    /// execution layer journals. The vocabulary is closed: a name
+    /// outside it is corruption, not something to leak a string for.
+    fn name(&mut self) -> Result<&'static str, StoreError> {
         let b = self.bytes()?;
-        let s = std::str::from_utf8(b).map_err(|_| self.corrupt("invalid utf-8"))?;
-        Ok(intern(s))
+        NAMES
+            .iter()
+            .copied()
+            .find(|n| n.as_bytes() == b)
+            .ok_or_else(|| self.corrupt("unknown name"))
     }
 
     fn duration(&mut self) -> Result<Duration, StoreError> {
@@ -168,289 +174,32 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The `&'static str` vocabulary the execution layer journals: backend
-/// and stage names, fallback labels, budget dimensions, store
-/// operations, kill-point names, `.qubo` token kinds. Unknown strings
-/// (future vocabulary decoded by an old binary) are leaked — bounded
-/// by the journal's own size, paid once per resume.
-fn intern(s: &str) -> &'static str {
-    const VOCAB: &[&str] = &[
-        // Backends + supervisor provenance.
-        "annealer",
-        "gate",
-        "grover",
-        "classical",
-        "supervisor",
-        // Pipeline stages.
-        "compile",
-        "embed",
-        "sample",
-        "decode",
-        "classify",
-        // Supervisor stages.
-        "breaker",
-        "budget",
-        "ladder",
-        "store",
-        // Fallback labels.
-        "clique embedding",
-        "analytic p=1 QAOA",
-        // Budget dimensions.
-        "attempts",
-        "samples",
-        "deadline",
-        "nodes",
-        // `.qubo` token kinds.
-        "offset",
-        "node count",
-        "index",
-        "value",
-        // Store operations and kill-point names.
-        "mkdir",
-        "open",
-        "create",
-        "read",
-        "write",
-        "sync",
-        "sync_dir",
-        "rename",
-        "remove",
-        "seek",
-        "set_len",
-        "append",
-        "snapshot",
-        "crash-before-fsync",
-        "crash-mid-frame",
-        "crash-between-snapshot-and-truncate",
-        "io-failure",
-    ];
-    for v in VOCAB {
-        if *v == s {
-            return v;
-        }
-    }
-    Box::leak(s.to_string().into_boxed_str())
-}
-
-// ---------------------------------------------------------------------
-// Error codecs (exact round trip, so replayed journals compare equal)
-// ---------------------------------------------------------------------
-
-fn put_exec_error(out: &mut Vec<u8>, e: &ExecError) {
-    match e {
-        ExecError::Compile(ce) => {
-            put_u8(out, 0);
-            match ce {
-                CompileError::Unsatisfiable(what) => {
-                    put_u8(out, 0);
-                    put_str(out, what);
-                }
-                CompileError::NoQuboFound { ancillas_tried, shape } => {
-                    put_u8(out, 1);
-                    put_u32(out, *ancillas_tried);
-                    put_str(out, shape);
-                }
-            }
-        }
-        ExecError::Anneal(AnnealError::EmbeddingFailed { logical_vars, device_qubits }) => {
-            put_u8(out, 1);
-            put_u64(out, *logical_vars as u64);
-            put_u64(out, *device_qubits as u64);
-        }
-        ExecError::Qaoa(qe) => {
-            put_u8(out, 2);
-            match qe {
-                QaoaError::TooManyQubits { needed, available } => {
-                    put_u8(out, 0);
-                    put_u64(out, *needed as u64);
-                    put_u64(out, *available as u64);
-                }
-                QaoaError::TooLargeToSimulate { needed, sim_limit } => {
-                    put_u8(out, 1);
-                    put_u64(out, *needed as u64);
-                    put_u64(out, *sim_limit as u64);
-                }
-            }
-        }
-        ExecError::Unsatisfiable => put_u8(out, 3),
-        ExecError::SoftUnsupported { num_soft } => {
-            put_u8(out, 4);
-            put_u64(out, *num_soft as u64);
-        }
-        ExecError::TooLarge { vars, limit } => {
-            put_u8(out, 5);
-            put_u64(out, *vars as u64);
-            put_u64(out, *limit as u64);
-        }
-        ExecError::NoCandidates => put_u8(out, 6),
-        ExecError::Cancelled { backend, stage } => {
-            put_u8(out, 7);
-            put_str(out, backend);
-            put_str(out, stage);
-        }
-        ExecError::Transient { backend, stage, kind, attempt } => {
-            put_u8(out, 8);
-            put_str(out, backend);
-            put_str(out, stage);
-            put_u8(
-                out,
-                match kind {
-                    FaultKind::Injected => 0,
-                    FaultKind::ChainBreakStorm => 1,
-                },
-            );
-            put_u32(out, *attempt);
-        }
-        ExecError::BreakerOpen { backend } => {
-            put_u8(out, 9);
-            put_str(out, backend);
-        }
-        ExecError::BudgetExhausted { what } => {
-            put_u8(out, 10);
-            put_str(out, what);
-        }
-        ExecError::Store(se) => {
-            put_u8(out, 11);
-            put_store_error(out, se);
-        }
-        ExecError::QuboIo(qe) => {
-            put_u8(out, 12);
-            put_qubo_io_error(out, qe);
-        }
-        ExecError::AlreadyFinished { dir } => {
-            put_u8(out, 13);
-            put_str(out, dir);
-        }
-    }
-}
-
-fn read_exec_error(r: &mut Reader<'_>) -> Result<ExecError, StoreError> {
-    Ok(match r.u8()? {
-        0 => ExecError::Compile(match r.u8()? {
-            0 => CompileError::Unsatisfiable(r.string()?),
-            1 => CompileError::NoQuboFound { ancillas_tried: r.u32()?, shape: r.string()? },
-            _ => return Err(r.corrupt("unknown compile error tag")),
-        }),
-        1 => ExecError::Anneal(AnnealError::EmbeddingFailed {
-            logical_vars: r.usize()?,
-            device_qubits: r.usize()?,
-        }),
-        2 => ExecError::Qaoa(match r.u8()? {
-            0 => QaoaError::TooManyQubits { needed: r.usize()?, available: r.usize()? },
-            1 => QaoaError::TooLargeToSimulate { needed: r.usize()?, sim_limit: r.usize()? },
-            _ => return Err(r.corrupt("unknown qaoa error tag")),
-        }),
-        3 => ExecError::Unsatisfiable,
-        4 => ExecError::SoftUnsupported { num_soft: r.usize()? },
-        5 => ExecError::TooLarge { vars: r.usize()?, limit: r.usize()? },
-        6 => ExecError::NoCandidates,
-        7 => ExecError::Cancelled { backend: r.static_str()?, stage: r.static_str()? },
-        8 => ExecError::Transient {
-            backend: r.static_str()?,
-            stage: r.static_str()?,
-            kind: match r.u8()? {
-                0 => FaultKind::Injected,
-                1 => FaultKind::ChainBreakStorm,
-                _ => return Err(r.corrupt("unknown fault kind tag")),
-            },
-            attempt: r.u32()?,
-        },
-        9 => ExecError::BreakerOpen { backend: r.static_str()? },
-        10 => ExecError::BudgetExhausted { what: r.static_str()? },
-        11 => ExecError::Store(read_store_error(r)?),
-        12 => ExecError::QuboIo(read_qubo_io_error(r)?),
-        13 => ExecError::AlreadyFinished { dir: r.string()? },
-        _ => return Err(r.corrupt("unknown exec error tag")),
-    })
-}
-
-fn put_store_error(out: &mut Vec<u8>, e: &StoreError) {
-    match e {
-        StoreError::Io { op, path, kind } => {
-            put_u8(out, 0);
-            put_str(out, op);
-            put_str(out, path);
-            put_str(out, kind);
-        }
-        StoreError::Corrupt { path, offset, reason } => {
-            put_u8(out, 1);
-            put_str(out, path);
-            put_u64(out, *offset);
-            put_str(out, reason);
-        }
-        StoreError::Killed { point } => {
-            put_u8(out, 2);
-            put_str(out, point);
-        }
-        StoreError::Dead => put_u8(out, 3),
-        StoreError::NotEmpty { path } => {
-            put_u8(out, 4);
-            put_str(out, path);
-        }
-        StoreError::NoRun { path } => {
-            put_u8(out, 5);
-            put_str(out, path);
-        }
-    }
-}
-
-fn read_store_error(r: &mut Reader<'_>) -> Result<StoreError, StoreError> {
-    Ok(match r.u8()? {
-        0 => StoreError::Io { op: r.static_str()?, path: r.string()?, kind: r.string()? },
-        1 => StoreError::Corrupt { path: r.string()?, offset: r.u64()?, reason: r.string()? },
-        2 => StoreError::Killed { point: r.static_str()? },
-        3 => StoreError::Dead,
-        4 => StoreError::NotEmpty { path: r.string()? },
-        5 => StoreError::NoRun { path: r.string()? },
-        _ => return Err(r.corrupt("unknown store error tag")),
-    })
-}
-
-fn put_qubo_io_error(out: &mut Vec<u8>, e: &QuboIoError) {
-    match e {
-        QuboIoError::MissingHeader => put_u8(out, 0),
-        QuboIoError::MalformedHeader { line } => {
-            put_u8(out, 1);
-            put_u64(out, *line as u64);
-        }
-        QuboIoError::BadNumber { line, what, token } => {
-            put_u8(out, 2);
-            put_u64(out, *line as u64);
-            put_str(out, what);
-            put_str(out, token);
-        }
-        QuboIoError::TermBeforeHeader { line } => {
-            put_u8(out, 3);
-            put_u64(out, *line as u64);
-        }
-        QuboIoError::MalformedTerm { line } => {
-            put_u8(out, 4);
-            put_u64(out, *line as u64);
-        }
-        QuboIoError::IndexOutOfRange { line, index, declared } => {
-            put_u8(out, 5);
-            put_u64(out, *line as u64);
-            put_u64(out, *index as u64);
-            put_u64(out, *declared as u64);
-        }
-    }
-}
-
-fn read_qubo_io_error(r: &mut Reader<'_>) -> Result<QuboIoError, StoreError> {
-    Ok(match r.u8()? {
-        0 => QuboIoError::MissingHeader,
-        1 => QuboIoError::MalformedHeader { line: r.usize()? },
-        2 => QuboIoError::BadNumber { line: r.usize()?, what: r.static_str()?, token: r.string()? },
-        3 => QuboIoError::TermBeforeHeader { line: r.usize()? },
-        4 => QuboIoError::MalformedTerm { line: r.usize()? },
-        5 => QuboIoError::IndexOutOfRange {
-            line: r.usize()?,
-            index: r.usize()?,
-            declared: r.usize()?,
-        },
-        _ => return Err(r.corrupt("unknown qubo io error tag")),
-    })
-}
+/// Every `&'static str` a journal event carries: backend names (plus
+/// `"supervisor"`), pipeline and supervisor stage labels, and fallback
+/// labels. Errors are journaled as rendered text, so none of their
+/// vocabulary belongs here.
+const NAMES: &[&str] = &[
+    // Backends + supervisor provenance.
+    "annealer",
+    "gate",
+    "grover",
+    "classical",
+    "supervisor",
+    // Pipeline stages.
+    "compile",
+    "embed",
+    "sample",
+    "decode",
+    "classify",
+    // Supervisor stages.
+    "breaker",
+    "budget",
+    "ladder",
+    "store",
+    // Fallback labels.
+    "clique embedding",
+    "analytic p=1 QAOA",
+];
 
 // ---------------------------------------------------------------------
 // Journal event codec
@@ -463,9 +212,9 @@ fn put_journal_event(out: &mut Vec<u8>, e: &JournalEvent) {
     match &e.kind {
         JournalKind::AttemptStarted => put_u8(out, 0),
         JournalKind::StageFailed { stage, error, suppressed } => {
-            put_u8(out, 1);
+            put_u8(out, 12);
             put_str(out, stage);
-            put_exec_error(out, error);
+            put_str(out, error);
             put_u8(out, u8::from(*suppressed));
         }
         JournalKind::FallbackTaken { what } => {
@@ -494,33 +243,35 @@ fn put_journal_event(out: &mut Vec<u8>, e: &JournalEvent) {
         }
         JournalKind::Succeeded => put_u8(out, 10),
         JournalKind::Failed { error } => {
-            put_u8(out, 11);
-            put_exec_error(out, error);
+            put_u8(out, 13);
+            put_str(out, error);
         }
     }
 }
 
 fn read_journal_event(r: &mut Reader<'_>) -> Result<JournalEvent, StoreError> {
     let at = r.duration()?;
-    let backend = r.static_str()?;
+    let backend = r.name()?;
     let attempt = r.u32()?;
+    // Tags 1 and 11 held structurally encoded errors in an earlier
+    // format; they are retired, so such a store fails typed here.
     let kind = match r.u8()? {
         0 => JournalKind::AttemptStarted,
-        1 => JournalKind::StageFailed {
-            stage: r.static_str()?,
-            error: read_exec_error(r)?,
-            suppressed: r.u8()? != 0,
-        },
-        2 => JournalKind::FallbackTaken { what: r.static_str()? },
+        2 => JournalKind::FallbackTaken { what: r.name()? },
         3 => JournalKind::Retry { backoff: r.duration()? },
         4 => JournalKind::BreakerOpened,
         5 => JournalKind::BreakerShortCircuit,
         6 => JournalKind::BreakerProbe,
         7 => JournalKind::RungExhausted { reason: r.string()? },
-        8 => JournalKind::LadderStep { from: r.static_str()?, to: r.static_str()? },
+        8 => JournalKind::LadderStep { from: r.name()?, to: r.name()? },
         9 => JournalKind::PartialResult { candidates: r.usize()? },
         10 => JournalKind::Succeeded,
-        11 => JournalKind::Failed { error: read_exec_error(r)? },
+        12 => JournalKind::StageFailed {
+            stage: r.name()?,
+            error: r.string()?,
+            suppressed: r.u8()? != 0,
+        },
+        13 => JournalKind::Failed { error: r.string()? },
         _ => return Err(r.corrupt("unknown journal kind tag")),
     };
     Ok(JournalEvent { at, backend, attempt, kind })
@@ -1044,6 +795,11 @@ pub fn decode_grover_progress(buf: &[u8]) -> Option<GroverProgress> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
+    use crate::backends::{AnnealerBackend, ClassicalBackend, GateModelBackend, GroverBackend};
+    use crate::error::{ExecError, FaultKind};
+    use nck_anneal::AnnealerDevice;
+    use nck_circuit::GateModelDevice;
 
     fn sample_events() -> Vec<JournalEvent> {
         vec![
@@ -1064,7 +820,8 @@ mod tests {
                         stage: "sample",
                         kind: FaultKind::ChainBreakStorm,
                         attempt: 2,
-                    },
+                    }
+                    .to_string(),
                     suppressed: true,
                 },
             },
@@ -1077,7 +834,8 @@ mod tests {
                         path: "wal.log".into(),
                         offset: 99,
                         reason: "bad crc".into(),
-                    }),
+                    })
+                    .to_string(),
                 },
             },
             JournalEvent {
@@ -1098,6 +856,22 @@ mod tests {
     #[test]
     fn records_round_trip_exactly() {
         let mut recs: Vec<Record> = sample_events().into_iter().map(Record::Journal).collect();
+        recs.push(Record::Journal(JournalEvent {
+            at: Duration::from_nanos(7),
+            backend: "annealer",
+            attempt: 1,
+            kind: JournalKind::StageFailed {
+                stage: "embed",
+                error: String::new(),
+                suppressed: false,
+            },
+        }));
+        recs.push(Record::Journal(JournalEvent {
+            at: Duration::from_secs(2),
+            backend: "classical",
+            attempt: 0,
+            kind: JournalKind::Failed { error: "multi\nline — ünïcode".into() },
+        }));
         recs.push(Record::Progress {
             rung: 1,
             rung_attempt: 3,
@@ -1114,51 +888,66 @@ mod tests {
         }
     }
 
+    /// Journal `name` in every position an event carries a name, and
+    /// decode each record back.
+    fn round_trip_name(name: &'static str) -> Result<(), StoreError> {
+        for kind in [
+            JournalKind::StageFailed { stage: name, error: "e".into(), suppressed: false },
+            JournalKind::FallbackTaken { what: name },
+            JournalKind::LadderStep { from: name, to: name },
+        ] {
+            let rec = Record::Journal(JournalEvent {
+                at: Duration::ZERO,
+                backend: name,
+                attempt: 0,
+                kind,
+            });
+            assert_eq!(decode_record(&encode_record(&rec))?, rec);
+        }
+        Ok(())
+    }
+
     #[test]
-    fn every_exec_error_round_trips() {
-        let errors = vec![
-            ExecError::Compile(CompileError::Unsatisfiable("c1".into())),
-            ExecError::Compile(CompileError::NoQuboFound { ancillas_tried: 4, shape: "s".into() }),
-            ExecError::Anneal(AnnealError::EmbeddingFailed { logical_vars: 9, device_qubits: 5 }),
-            ExecError::Qaoa(QaoaError::TooManyQubits { needed: 70, available: 65 }),
-            ExecError::Qaoa(QaoaError::TooLargeToSimulate { needed: 30, sim_limit: 24 }),
-            ExecError::Unsatisfiable,
-            ExecError::SoftUnsupported { num_soft: 3 },
-            ExecError::TooLarge { vars: 30, limit: 20 },
-            ExecError::NoCandidates,
-            ExecError::Cancelled { backend: "annealer", stage: "embed" },
-            ExecError::Transient {
-                backend: "classical",
-                stage: "sample",
-                kind: FaultKind::Injected,
-                attempt: 5,
-            },
-            ExecError::BreakerOpen { backend: "gate" },
-            ExecError::BudgetExhausted { what: "deadline" },
-            ExecError::Store(StoreError::Io {
-                op: "append",
-                path: "/x/wal.log".into(),
-                kind: "permission denied".into(),
-            }),
-            ExecError::Store(StoreError::Killed { point: "crash-mid-frame" }),
-            ExecError::Store(StoreError::Dead),
-            ExecError::Store(StoreError::NotEmpty { path: "/x".into() }),
-            ExecError::Store(StoreError::NoRun { path: "/y".into() }),
-            ExecError::QuboIo(QuboIoError::MissingHeader),
-            ExecError::QuboIo(QuboIoError::BadNumber {
-                line: 3,
-                what: "value",
-                token: "zzz".into(),
-            }),
-            ExecError::QuboIo(QuboIoError::IndexOutOfRange { line: 2, index: 9, declared: 4 }),
-            ExecError::AlreadyFinished { dir: "/runs/a".into() },
+    fn every_journaled_name_round_trips() {
+        let backends: [&dyn Backend; 4] = [
+            &AnnealerBackend::new(AnnealerDevice::ideal(4), 1),
+            &GateModelBackend::new(GateModelDevice::ideal(4), 1, 1, 1),
+            &GroverBackend::default(),
+            &ClassicalBackend::default(),
         ];
-        for e in errors {
-            let mut bytes = Vec::new();
-            put_exec_error(&mut bytes, &e);
-            let mut r = Reader::new(&bytes);
-            assert_eq!(read_exec_error(&mut r).unwrap(), e, "{e:?}");
-            r.finish().unwrap();
+        let mut names: Vec<&'static str> = backends.iter().map(|b| b.name()).collect();
+        names.push("supervisor");
+        // `RunCtx::enter_stage` labels and the supervisor's own stages.
+        names.extend(["compile", "embed", "sample", "decode", "classify"]);
+        names.extend(["breaker", "budget", "ladder", "store"]);
+        // Both `FallbackTaken` labels.
+        names.extend(["clique embedding", "analytic p=1 QAOA"]);
+        for name in names {
+            round_trip_name(name).unwrap();
+        }
+    }
+
+    #[test]
+    fn unknown_names_and_retired_error_tags_are_typed_corruption() {
+        assert!(matches!(round_trip_name("toaster"), Err(StoreError::Corrupt { .. })));
+
+        // Journal kinds 1 (StageFailed) and 11 (Failed) of the earlier
+        // format carried a structurally encoded error: a one-byte tag
+        // (here 6 = `NoCandidates`, 3 = `Unsatisfiable`) and fields.
+        let old_record = |kind: &[u8]| {
+            let mut out = vec![1u8];
+            put_duration(&mut out, Duration::from_millis(3));
+            put_str(&mut out, "annealer");
+            put_u32(&mut out, 0);
+            out.extend_from_slice(kind);
+            out
+        };
+        let mut stage_failed = vec![1u8];
+        put_str(&mut stage_failed, "sample");
+        stage_failed.extend_from_slice(&[6, 0]);
+        for kind in [stage_failed, vec![11, 3]] {
+            let err = decode_record(&old_record(&kind)).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
         }
     }
 
@@ -1175,8 +964,6 @@ mod tests {
             r.finish().unwrap();
             assert_eq!(back, e);
             assert_eq!(back.at.as_nanos(), e.at.as_nanos());
-            // Static strings intern back to the same vocabulary entry.
-            assert!(std::ptr::eq(back.backend, intern(e.backend)), "{} not interned", e.backend);
         }
     }
 

@@ -40,8 +40,10 @@ pub enum JournalKind {
     StageFailed {
         /// Pipeline stage that failed (`embed`, `sample`, …).
         stage: &'static str,
-        /// The typed error, with full provenance.
-        error: ExecError,
+        /// The error as rendered by its `Display` — the same text in
+        /// memory and on disk. The typed error rides on
+        /// [`FailedAttempt`](crate::FailedAttempt).
+        error: String,
         /// True when a fallback rescued the attempt.
         suppressed: bool,
     },
@@ -84,8 +86,9 @@ pub enum JournalKind {
     Succeeded,
     /// The run failed; this is always the journal's final event.
     Failed {
-        /// The terminal error.
-        error: ExecError,
+        /// The terminal error, rendered (the typed one is
+        /// [`SupervisedFailure::error`](crate::SupervisedFailure::error)).
+        error: String,
     },
 }
 
@@ -243,7 +246,7 @@ impl RunCtx {
     /// Journal a stage failure that a fallback is about to rescue.
     pub fn note_suppressed(&mut self, error: ExecError) {
         let stage = self.stage;
-        self.note(JournalKind::StageFailed { stage, error, suppressed: true });
+        self.note(JournalKind::StageFailed { stage, error: error.to_string(), suppressed: true });
     }
 
     /// Wall-clock offset since the run started.

@@ -43,7 +43,7 @@
 
 use crate::backend::Backend;
 use crate::breaker::Admission;
-use crate::budget::{RetryPolicy, RunBudget};
+use crate::budget::{attempt_seed, RetryPolicy, RunBudget};
 use crate::durable::{DurableRun, Record, RecoveredRun, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::error::{ExecError, FailedAttempt};
 use crate::journal::{JournalEvent, JournalKind, RunCtx, RunJournal};
@@ -100,18 +100,6 @@ impl Default for Supervisor {
     }
 }
 
-/// Where a (possibly resumed) supervised run starts from. The default
-/// is a fresh run: rung 0, attempt 0, empty journal, zero elapsed.
-#[derive(Debug, Default)]
-struct ResumeInit {
-    start_rung: usize,
-    rung_attempt: u32,
-    global_attempt: u32,
-    samples_used: u64,
-    journal: RunJournal,
-    elapsed: Duration,
-}
-
 /// Journal an event and, when the run is durable, persist it in the
 /// same breath — the journal on disk is always an exact prefix of the
 /// journal in memory.
@@ -147,13 +135,6 @@ impl Supervisor {
         Supervisor { budget, retry, ..Supervisor::default() }
     }
 
-    /// Derive the seed for attempt `k` of a rung: attempt 0 uses the
-    /// caller's seed unchanged (a fault-free supervised run reproduces
-    /// the plain run bit-for-bit), retries decorrelate.
-    fn attempt_seed(seed: u64, global_attempt: u32) -> u64 {
-        seed ^ u64::from(global_attempt).wrapping_mul(0x9e3779b97f4a7c15)
-    }
-
     /// Execute `plan` down the `ladder` under this supervisor's
     /// policies. Returns the first rung's successful report, or — when
     /// every rung fails or the budget runs out — a
@@ -164,7 +145,7 @@ impl Supervisor {
         ladder: &[&dyn Backend],
         seed: u64,
     ) -> Result<ExecReport, Box<SupervisedFailure>> {
-        self.run_inner(plan, ladder, seed, ResumeInit::default(), None)
+        self.run_inner(plan, ladder, seed, RecoveredRun::default(), None)
     }
 
     /// Like [`run`](Supervisor::run), but persisted: open a fresh
@@ -196,7 +177,7 @@ impl Supervisor {
         store: RunStore,
     ) -> Result<ExecReport, Box<SupervisedFailure>> {
         let sink = Arc::new(DurableRun::new(store).with_interval(self.checkpoint_interval));
-        let result = self.run_inner(plan, ladder, seed, ResumeInit::default(), Some(&sink));
+        let result = self.run_inner(plan, ladder, seed, RecoveredRun::default(), Some(&sink));
         Self::surface_store_death(result, &sink)
     }
 
@@ -238,19 +219,11 @@ impl Supervisor {
             let dir = store.dir().display().to_string();
             return Err(Self::store_failure(ExecError::AlreadyFinished { dir }));
         }
-        let init = ResumeInit {
-            start_rung: run.completed_rungs as usize,
-            rung_attempt: run.rung_attempt,
-            global_attempt: run.global_attempt,
-            samples_used: run.samples_used,
-            journal: std::mem::take(&mut run.journal),
-            elapsed: run.elapsed,
-        };
         let sink = Arc::new(
             DurableRun::with_restored(store, std::mem::take(&mut run.checkpoints))
                 .with_interval(self.checkpoint_interval),
         );
-        let result = self.run_inner(plan, ladder, seed, init, Some(&sink));
+        let result = self.run_inner(plan, ladder, seed, run, Some(&sink));
         Self::surface_store_death(result, &sink)
     }
 
@@ -263,7 +236,7 @@ impl Supervisor {
             Duration::ZERO,
             "supervisor",
             0,
-            JournalKind::Failed { error: error.error.clone() },
+            JournalKind::Failed { error: error.error.to_string() },
         );
         Box::new(SupervisedFailure { error, journal })
     }
@@ -298,26 +271,30 @@ impl Supervisor {
         }
     }
 
+    /// The policy loop, starting from `from`: [`RecoveredRun::default`]
+    /// for a fresh run, the recovered state (its checkpoints already
+    /// moved into `sink`) for a resumed one.
     fn run_inner(
         &self,
         plan: &ExecutionPlan<'_>,
         ladder: &[&dyn Backend],
         seed: u64,
-        init: ResumeInit,
+        from: RecoveredRun,
         sink: Option<&Arc<DurableRun>>,
     ) -> Result<ExecReport, Box<SupervisedFailure>> {
         // Resumed runs restore the journal's monotonic timebase: the
         // clock starts `elapsed` in the past, so offsets continue
         // exactly where the crashed run's persisted prefix stopped.
         let now = Instant::now();
-        let started = now.checked_sub(init.elapsed).unwrap_or(now);
+        let started = now.checked_sub(from.elapsed).unwrap_or(now);
         let global = self.budget.token();
         if let Some(s) = sink {
             s.bind_cancel(global.clone());
         }
-        let mut journal = init.journal;
-        let mut global_attempt: u32 = init.global_attempt;
-        let mut samples_used: u64 = init.samples_used;
+        let start_rung = from.completed_rungs as usize;
+        let mut journal = from.journal;
+        let mut global_attempt: u32 = from.global_attempt;
+        let mut samples_used: u64 = from.samples_used;
         let mut last_error = FailedAttempt {
             backend: "supervisor",
             stage: "ladder",
@@ -325,7 +302,7 @@ impl Supervisor {
             error: ExecError::NoCandidates,
         };
 
-        'rungs: for (ri, backend) in ladder.iter().enumerate().skip(init.start_rung) {
+        'rungs: for (ri, backend) in ladder.iter().enumerate().skip(start_rung) {
             let name = backend.name();
             // Slice the remaining global deadline across the remaining
             // rungs; the last rung inherits everything left.
@@ -347,7 +324,7 @@ impl Supervisor {
                     CancelToken::with_deadline(rem / (ladder.len() - ri) as u32)
                 }
             };
-            let mut rung_attempt: u32 = if ri == init.start_rung { init.rung_attempt } else { 0 };
+            let mut rung_attempt: u32 = if ri == start_rung { from.rung_attempt } else { 0 };
             loop {
                 if global_attempt >= self.budget.max_attempts {
                     last_error = FailedAttempt {
@@ -451,9 +428,9 @@ impl Supervisor {
                     let ckpt: Arc<dyn Checkpointer> = Arc::clone(s) as Arc<dyn Checkpointer>;
                     ctx = ctx.with_checkpointer(ckpt);
                 }
-                let attempt_seed = Self::attempt_seed(seed, global_attempt);
+                let derived = attempt_seed(seed, global_attempt);
                 global_attempt += 1;
-                match plan.run_attempt(*backend, attempt_seed, &mut ctx) {
+                match plan.run_attempt(*backend, derived, &mut ctx) {
                     Ok(mut report) => {
                         plan.breaker(name, |b| b.record_success());
                         drain(&mut journal, sink, &mut report.journal.events);
@@ -495,7 +472,7 @@ impl Supervisor {
                             rung_attempt,
                             JournalKind::StageFailed {
                                 stage: failed.stage,
-                                error: failed.error.clone(),
+                                error: failed.error.to_string(),
                                 suppressed: false,
                             },
                         );
@@ -601,7 +578,7 @@ impl Supervisor {
             started.elapsed(),
             last_error.backend,
             last_error.attempt,
-            JournalKind::Failed { error: last_error.error.clone() },
+            JournalKind::Failed { error: last_error.error.to_string() },
         );
         if let Some(s) = sink {
             s.record(&Record::Finished { success: false });
@@ -739,6 +716,39 @@ mod tests {
     }
 
     #[test]
+    fn failure_journal_renders_exactly_as_the_typed_error() {
+        // Journal errors are stored rendered; `--journal` output must
+        // read exactly as if the typed error were formatted in place.
+        let p = vertex_cover();
+        let plan = ExecutionPlan::new(&p);
+        let grover = GroverBackend::default();
+        let failure = Supervisor::default().run(&plan, &[&grover], 7).unwrap_err();
+        let typed = &failure.error.error;
+        let head = |e: &JournalEvent| {
+            format!("[{:>9.3}ms] {}#{} ", e.at.as_secs_f64() * 1e3, e.backend, e.attempt)
+        };
+        let mut expected = String::new();
+        let mut failures = 0;
+        for e in &failure.journal.events {
+            let line = match &e.kind {
+                JournalKind::StageFailed { stage, .. } => {
+                    failures += 1;
+                    format!("{}stage {stage} failed: {typed}", head(e))
+                }
+                JournalKind::Failed { .. } => {
+                    failures += 1;
+                    format!("{}failed: {typed}", head(e))
+                }
+                _ => e.to_string(),
+            };
+            expected.push_str(&line);
+            expected.push('\n');
+        }
+        assert_eq!(failures, 2, "{}", failure.journal.render());
+        assert_eq!(failure.journal.render(), expected);
+    }
+
+    #[test]
     fn opened_breaker_stops_the_rung_and_short_circuits_the_next_run() {
         let p = vertex_cover();
         let plan = ExecutionPlan::new(&p).with_breaker_config(BreakerConfig {
@@ -840,9 +850,9 @@ mod tests {
 
     #[test]
     fn retry_seeds_decorrelate_but_first_attempt_seed_is_the_callers() {
-        assert_eq!(Supervisor::attempt_seed(42, 0), 42);
-        assert_ne!(Supervisor::attempt_seed(42, 1), 42);
-        assert_ne!(Supervisor::attempt_seed(42, 1), Supervisor::attempt_seed(42, 2));
+        assert_eq!(attempt_seed(42, 0), 42);
+        assert_ne!(attempt_seed(42, 1), 42);
+        assert_ne!(attempt_seed(42, 1), attempt_seed(42, 2));
     }
 
     #[test]
