@@ -191,27 +191,6 @@ impl AnnealerDevice {
         num_reads: usize,
         seed: u64,
     ) -> Result<AnnealResult, AnnealError> {
-        self.sample_qubo_embedded_cancellable(
-            qubo,
-            embedding,
-            num_reads,
-            seed,
-            &CancelToken::never(),
-        )
-    }
-
-    /// [`sample_qubo_embedded`](Self::sample_qubo_embedded) under
-    /// cooperative cancellation: the anneal sweep loops poll `cancel`,
-    /// so a fired deadline returns the reads completed so far (possibly
-    /// none) instead of running the job to the end.
-    pub fn sample_qubo_embedded_cancellable(
-        &self,
-        qubo: &Qubo,
-        embedding: &Embedding,
-        num_reads: usize,
-        seed: u64,
-        cancel: &CancelToken,
-    ) -> Result<AnnealResult, AnnealError> {
         self.sample_qubo_embedded_resumable(
             qubo,
             embedding,
@@ -220,17 +199,24 @@ impl AnnealerDevice {
             0,
             Vec::new(),
             0,
-            cancel,
+            &CancelToken::never(),
             &mut |_, _| {},
         )
     }
 
-    /// [`sample_qubo_embedded_cancellable`](Self::sample_qubo_embedded_cancellable)
-    /// with mid-solve checkpoint/resume. Each read's RNG stream depends
-    /// only on the job seed and the read's global index, so a run that
-    /// computed reads `[0..skip_reads)` before dying and a resume
-    /// computing `[skip_reads..num_reads)` produce, together, exactly
-    /// the samples of one uninterrupted run.
+    /// [`sample_qubo_embedded`](Self::sample_qubo_embedded) under
+    /// cooperative cancellation, with mid-solve checkpoint/resume.
+    ///
+    /// The anneal sweep loops poll `cancel`, so a fired deadline
+    /// returns the reads completed so far (possibly none) instead of
+    /// running the job to the end; the chain-break fraction is then
+    /// taken over the reads returned.
+    ///
+    /// Each read's RNG stream depends only on the job seed and the
+    /// read's global index, so a run that computed reads
+    /// `[0..skip_reads)` before dying and a resume computing
+    /// `[skip_reads..num_reads)` produce, together, exactly the
+    /// samples of one uninterrupted run.
     ///
     /// `restored` carries the decoded samples of the skipped reads (in
     /// generation order, pre-sort). Every `chunk` completed reads
@@ -319,7 +305,7 @@ impl AnnealerDevice {
             g_start = g_end;
         }
         samples.sort_by(|a, b| a.energy.partial_cmp(&b.energy).unwrap());
-        let total_chains = embedding.num_logical().max(1) * num_reads.max(1);
+        let total_chains = embedding.num_logical().max(1) * samples.len().max(1);
         let broken: usize = samples.iter().map(|s| s.broken_chains).sum();
         Ok(AnnealResult {
             physical_qubits: embedding.num_physical(),
@@ -374,7 +360,7 @@ mod tests {
         let adj = qubo.adjacency();
         let embedding = find_embedding(&adj, &dev.topology, 5, dev.embed_tries).unwrap();
         let cancel = CancelToken::never();
-        let full = dev.sample_qubo_embedded_cancellable(&qubo, &embedding, 17, 9, &cancel).unwrap();
+        let full = dev.sample_qubo_embedded(&qubo, &embedding, 17, 9).unwrap();
         for skip in [0usize, 1, 5, 6, 11, 16, 17] {
             // Phase one: a run that checkpoints after every read; keep
             // the checkpoint that covers exactly `skip` reads (what a
@@ -418,6 +404,38 @@ mod tests {
             }
             assert_eq!(resumed.chain_break_fraction, full.chain_break_fraction, "skip {skip}");
         }
+    }
+
+    #[test]
+    fn cancelled_job_reports_chain_breaks_over_returned_reads() {
+        // Variable 0 rides an antiferromagnetic two-qubit chain, which
+        // always reads out broken; variable 1 is a single qubit. Half
+        // of every read's chains break.
+        let mut dev = AnnealerDevice::ideal(4);
+        dev.chain_strength_scale = -1.0;
+        let embedding = Embedding::from_chains(vec![vec![0, 1], vec![2]]);
+        let cancel = CancelToken::never();
+        let r = dev
+            .sample_qubo_embedded_resumable(
+                &edge_qubo(),
+                &embedding,
+                40,
+                3,
+                0,
+                Vec::new(),
+                10,
+                &cancel,
+                &mut |done, _| {
+                    if done == 10 {
+                        cancel.cancel();
+                    }
+                },
+            )
+            .unwrap();
+        assert_eq!(r.samples.len(), 10);
+        let broken: usize = r.samples.iter().map(|s| s.broken_chains).sum();
+        assert_eq!(broken, 10);
+        assert_eq!(r.chain_break_fraction, 0.5);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The physical anneal of the D-Wave device is replaced by classical
 //! simulated annealing over the *embedded* problem, with an ICE-style
 //! noise model: per-read Gaussian perturbation of fields and couplings
-//! plus readout flips. Reads are independent, so they fan out across
-//! rayon workers.
+//! plus readout flips. Reads are independent and each is seeded by its
+//! own index; the job runs them one after another.
 
 use nck_cancel::CancelToken;
 use nck_qubo::Ising;
@@ -119,61 +119,38 @@ pub fn sample_ising(
     num_reads: usize,
     seed: u64,
 ) -> Vec<Vec<bool>> {
-    sample_ising_clustered(ising, params, noise, num_reads, seed, &[])
-}
-
-/// [`sample_ising`] with *cluster moves*: each sweep additionally
-/// proposes flipping every listed qubit group (an embedding's chains)
-/// as a single Metropolis move. Single-spin dynamics freeze on chained
-/// problems — flipping a logical variable means crossing a barrier of
-/// broken-chain states — whereas the physical annealer's quantum
-/// dynamics reorient chains collectively; cluster moves are the
-/// standard classical stand-in (see DESIGN.md).
-pub fn sample_ising_clustered(
-    ising: &Ising,
-    params: &SaParams,
-    noise: &NoiseModel,
-    num_reads: usize,
-    seed: u64,
-    clusters: &[Vec<usize>],
-) -> Vec<Vec<bool>> {
-    sample_ising_clustered_cancellable(
+    sample_ising_clustered_range(
         ising,
         params,
         noise,
-        num_reads,
+        0..num_reads,
         seed,
-        clusters,
+        &[],
         &CancelToken::never(),
     )
 }
 
-/// [`sample_ising_clustered`] under cooperative cancellation: the
-/// sweep loop polls `cancel` once per sweep. Reads not yet started
-/// when the token fires are dropped entirely; reads in flight stop
-/// annealing and read out their current (partially annealed) spins, so
-/// a deadline yields whatever the job completed rather than nothing.
-/// With a never-firing token this is byte-identical to the plain
-/// sampler.
-#[allow(clippy::too_many_arguments)]
-pub fn sample_ising_clustered_cancellable(
-    ising: &Ising,
-    params: &SaParams,
-    noise: &NoiseModel,
-    num_reads: usize,
-    seed: u64,
-    clusters: &[Vec<usize>],
-    cancel: &CancelToken,
-) -> Vec<Vec<bool>> {
-    sample_ising_clustered_range(ising, params, noise, 0..num_reads, seed, clusters, cancel)
-}
-
-/// [`sample_ising_clustered_cancellable`] restricted to a read-index
-/// range. Each read's RNG stream depends only on `(seed, read index)`,
-/// so computing reads `[skip..n)` after a restart is bit-identical to
-/// the tail of a single `[0..n)` run — the foundation of mid-solve
+/// Draw the reads with global indices in `reads` from `ising`, with
+/// *cluster moves* and cooperative cancellation.
+///
+/// Cluster moves: each sweep additionally proposes flipping every
+/// listed qubit group (an embedding's chains) as a single Metropolis
+/// move. Single-spin dynamics freeze on chained problems — flipping a
+/// logical variable means crossing a barrier of broken-chain states —
+/// whereas the physical annealer's quantum dynamics reorient chains
+/// collectively; cluster moves are the standard classical stand-in
+/// (see DESIGN.md).
+///
+/// Cancellation: the sweep loop polls `cancel` once per sweep. Reads
+/// not yet started when the token fires are dropped entirely; reads in
+/// flight stop annealing and read out their current (partially
+/// annealed) spins, so a deadline yields whatever the job completed
+/// rather than nothing.
+///
+/// Each read's RNG stream depends only on `(seed, read index)`, so
+/// computing reads `[skip..n)` after a restart is bit-identical to the
+/// tail of a single `[0..n)` run — the foundation of mid-solve
 /// checkpoint/resume for the annealer.
-#[allow(clippy::too_many_arguments)]
 pub fn sample_ising_clustered_range(
     ising: &Ising,
     params: &SaParams,
@@ -404,31 +381,15 @@ mod tests {
     }
 
     #[test]
-    fn never_token_matches_plain_sampler() {
-        let ising = fm_chain(8);
-        let plain = sample_ising(&ising, &SaParams::default(), &NoiseModel::dwave_default(), 5, 3);
-        let cancellable = sample_ising_clustered_cancellable(
-            &ising,
-            &SaParams::default(),
-            &NoiseModel::dwave_default(),
-            5,
-            3,
-            &[],
-            &CancelToken::never(),
-        );
-        assert_eq!(plain, cancellable);
-    }
-
-    #[test]
     fn fired_token_drops_unstarted_reads() {
         let ising = fm_chain(8);
         let token = CancelToken::never();
         token.cancel();
-        let samples = sample_ising_clustered_cancellable(
+        let samples = sample_ising_clustered_range(
             &ising,
             &SaParams::default(),
             &NoiseModel::ideal(),
-            10,
+            0..10,
             3,
             &[],
             &token,

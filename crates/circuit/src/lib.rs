@@ -4,8 +4,8 @@
 //! 65-qubit IBM Q system (ibmq_brooklyn) of the paper's evaluation:
 //!
 //! * [`complex`] / [`state`] — dense state-vector simulation of the
-//!   `{h, x, rx, rz, cx, rzz, swap}` gate set, rayon-parallel on large
-//!   registers (exact up to ~24 qubits).
+//!   `{h, x, rx, rz, cx, rzz, swap}` gate set (exact up to ~24
+//!   qubits).
 //! * [`gates`] — circuit IR with the §VIII-B depth metric.
 //! * [`coupling`] / [`transpile`](mod@transpile) — heavy-hex-style coupling maps and a
 //!   layout + SWAP-routing + basis-decomposition transpiler; routed
@@ -56,7 +56,7 @@ pub use gates::{Circuit, Gate};
 pub use grover::{grover_search, optimal_iterations, GroverResult};
 pub use mixer::{qaoa_circuit_with_mixer, Mixer};
 pub use noise::CircuitNoise;
-pub use optim::{nelder_mead, nelder_mead_resumable, nelder_mead_with_stop, NmState, OptimResult};
+pub use optim::{nelder_mead, nelder_mead_resumable, NmState, OptimResult};
 pub use qaoa::{
     qaoa_circuit, qaoa_expectation_sim, GateModelDevice, QaoaError, QaoaRun, QaoaTimingModel,
 };

@@ -27,23 +27,7 @@ pub fn nelder_mead(
     max_iter: usize,
     tol: f64,
 ) -> OptimResult {
-    nelder_mead_with_stop(f, x0, step, max_iter, tol, &|| false)
-}
-
-/// [`nelder_mead`] with a cooperative stop callback, polled once per
-/// reflection cycle: when `stop` returns true the optimizer returns the
-/// best simplex vertex found so far (best-so-far parameters, not a
-/// failure). The initial simplex is always built, so the result is
-/// usable even when `stop` is already true on entry.
-pub fn nelder_mead_with_stop(
-    f: &mut dyn FnMut(&[f64]) -> f64,
-    x0: &[f64],
-    step: f64,
-    max_iter: usize,
-    tol: f64,
-    stop: &dyn Fn() -> bool,
-) -> OptimResult {
-    nelder_mead_resumable(f, x0, step, max_iter, tol, stop, None, &mut |_| {})
+    nelder_mead_resumable(f, x0, step, max_iter, tol, &|| false, None, &mut |_| {})
 }
 
 /// The optimizer's full mid-run state: the current simplex plus the
@@ -62,11 +46,19 @@ pub struct NmState {
     pub iterations: usize,
 }
 
-/// [`nelder_mead_with_stop`] with checkpoint/resume. When `state` is
-/// `Some`, the initial simplex construction is skipped and iteration
-/// continues from the restored counters (`max_iter` bounds the *total*
-/// iterations across all resumes). `on_iter` fires after every
-/// completed reflection cycle with the current state, for persistence.
+/// [`nelder_mead`] with a cooperative stop callback and
+/// checkpoint/resume.
+///
+/// `stop` is polled once per reflection cycle: when it returns true the
+/// optimizer returns the best simplex vertex found so far (best-so-far
+/// parameters, not a failure). The initial simplex is always built, so
+/// the result is usable even when `stop` is already true on entry.
+///
+/// When `state` is `Some`, the initial simplex construction is skipped
+/// and iteration continues from the restored counters (`max_iter`
+/// bounds the *total* iterations across all resumes). `on_iter` fires
+/// after every completed reflection cycle with the current state, for
+/// persistence.
 #[allow(clippy::too_many_arguments)]
 pub fn nelder_mead_resumable(
     f: &mut dyn FnMut(&[f64]) -> f64,
@@ -269,10 +261,10 @@ mod tests {
                 false
             }
         };
-        let r = nelder_mead_with_stop(&mut f, &[0.0], 0.5, 1000, 0.0, &stop);
+        let r = nelder_mead_resumable(&mut f, &[0.0], 0.5, 1000, 0.0, &stop, None, &mut |_| {});
         assert!(r.iterations <= 5, "stopped run did {} iterations", r.iterations);
         // Stopped immediately: still returns a usable vertex.
-        let r0 = nelder_mead_with_stop(&mut f, &[0.0], 0.5, 1000, 0.0, &|| true);
+        let r0 = nelder_mead_resumable(&mut f, &[0.0], 0.5, 1000, 0.0, &|| true, None, &mut |_| {});
         assert_eq!(r0.iterations, 0);
         assert!(r0.fx.is_finite());
     }

@@ -202,34 +202,32 @@ impl GateModelDevice {
         max_iter: usize,
         seed: u64,
     ) -> Result<QaoaRun, QaoaError> {
-        self.run_qaoa_cancellable(qubo, layers, shots, max_iter, seed, &CancelToken::never())
+        self.run_qaoa_resumable(
+            qubo,
+            layers,
+            shots,
+            max_iter,
+            seed,
+            &CancelToken::never(),
+            None,
+            &mut |_| {},
+        )
     }
 
-    /// [`run_qaoa`](Self::run_qaoa) under cooperative cancellation: the
-    /// optimizer polls `cancel` between reflection cycles and, when it
-    /// fires, the final sampling job runs with the best-so-far
+    /// [`run_qaoa`](Self::run_qaoa) under cooperative cancellation,
+    /// with checkpoint/resume of the classical optimizer loop.
+    ///
+    /// The optimizer polls `cancel` between reflection cycles and, when
+    /// it fires, the final sampling job runs with the best-so-far
     /// parameters — a deadline degrades parameter quality rather than
     /// discarding the run.
-    pub fn run_qaoa_cancellable(
-        &self,
-        qubo: &Qubo,
-        layers: usize,
-        shots: usize,
-        max_iter: usize,
-        seed: u64,
-        cancel: &CancelToken,
-    ) -> Result<QaoaRun, QaoaError> {
-        self.run_qaoa_resumable(qubo, layers, shots, max_iter, seed, cancel, None, &mut |_| {})
-    }
-
-    /// [`run_qaoa_cancellable`](Self::run_qaoa_cancellable) with
-    /// checkpoint/resume of the classical optimizer loop. `on_iter`
-    /// fires after every reflection cycle with the optimizer's full
-    /// [`NmState`] (the paper's per-job unit), and passing a restored
-    /// state continues the run exactly where it died: the optimizer is
-    /// deterministic and the final sampling job reseeds from `seed`
-    /// alone, so a resumed run's [`QaoaRun`] is bit-identical to an
-    /// uninterrupted one.
+    ///
+    /// `on_iter` fires after every reflection cycle with the
+    /// optimizer's full [`NmState`] (the paper's per-job unit), and
+    /// passing a restored state continues the run exactly where it
+    /// died: the optimizer is deterministic and the final sampling job
+    /// reseeds from `seed` alone, so a resumed run's [`QaoaRun`] is
+    /// bit-identical to an uninterrupted one.
     #[allow(clippy::too_many_arguments)]
     pub fn run_qaoa_resumable(
         &self,

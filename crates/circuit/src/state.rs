@@ -1,10 +1,10 @@
 //! Dense state-vector simulation.
 //!
-//! Exact simulation of the gate set in [`crate::gates`], with rayon
-//! parallelism over amplitude chunks for registers large enough to
-//! amortize the fork cost. Practical up to ~24 qubits (16M amplitudes);
-//! larger QAOA instances use the analytic p=1 evaluator instead
-//! ([`crate::analytic`]).
+//! Exact simulation of the gate set in [`crate::gates`]. Registers at or
+//! above `PAR_THRESHOLD` take the chunked `rayon` path, which the
+//! vendored stand-in runs sequentially. Practical up to ~24 qubits (16M
+//! amplitudes); larger QAOA instances use the analytic p=1 evaluator
+//! instead ([`crate::analytic`]).
 
 use crate::complex::Complex;
 use crate::gates::{Circuit, Gate};
@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
 
-/// Registers at or above this size use parallel gate application.
+/// Registers at or above this size take the chunked `rayon` path.
 const PAR_THRESHOLD: usize = 1 << 14;
 
 /// A pure quantum state over `n` qubits (amplitude `i` ↔ basis state

@@ -1,9 +1,11 @@
-//! Parallel brute-force solving of NchooseK programs.
+//! Brute-force solving of NchooseK programs.
 //!
 //! Ground truth for tests and for classifying backend samples on small
 //! instances: enumerate all assignments, keep those satisfying every
 //! hard constraint, and maximize the number of satisfied soft
-//! constraints. Embarrassingly parallel over the assignment space.
+//! constraints. The assignment space is split into chunks and the
+//! per-chunk results reduced; the vendored `rayon` stand-in runs the
+//! chunks one after another.
 
 use nck_core::Program;
 use rayon::prelude::*;

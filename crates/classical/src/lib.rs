@@ -10,7 +10,7 @@
 //! * [`qubo_bb`] — branch-and-bound over *translated QUBOs*: exact but
 //!   much slower on dense instances, reproducing the paper's
 //!   observation that classical solvers handle the QUBO form poorly.
-//! * [`brute`] — rayon-parallel exhaustive ground truth for tests.
+//! * [`brute`] — chunked exhaustive ground truth for tests.
 //! * [`classify`] — optimal / suboptimal / incorrect classification of
 //!   backend samples.
 //! * [`tabu`] — tabu-search QUBO heuristic (the Ocean `TabuSampler`
@@ -28,7 +28,7 @@ pub use brute::{solve_brute, BruteResult};
 pub use classify::OptimalityOracle;
 pub use qubo_bb::{minimize, QuboBbOptions, QuboBbResult, QuboBbStats};
 pub use solver::{
-    max_soft_satisfiable, solve, solve_cancellable, solve_resumable, Incumbent, SolveOutcome,
-    SolveStats, SolverOptions,
+    max_soft_satisfiable, solve, solve_resumable, Incumbent, SolveOutcome, SolveStats,
+    SolverOptions,
 };
 pub use tabu::{tabu_search, TabuOptions, TabuResult};

@@ -119,20 +119,7 @@ struct TrailEntry {
 
 /// Solve `program` exactly.
 pub fn solve(program: &Program, opts: &SolverOptions) -> (SolveOutcome, SolveStats) {
-    solve_cancellable(program, opts, &CancelToken::never())
-}
-
-/// [`solve`] under cooperative cancellation: the search polls `cancel`
-/// every [`CANCEL_POLL_NODES`] decision nodes and, when it fires, stops
-/// with `stats.truncated = true` and the best incumbent found so far —
-/// the same semantics as hitting the node limit. A truncated search
-/// never proves unsatisfiability.
-pub fn solve_cancellable(
-    program: &Program,
-    opts: &SolverOptions,
-    cancel: &CancelToken,
-) -> (SolveOutcome, SolveStats) {
-    solve_resumable(program, opts, cancel, None, &mut |_| {})
+    solve_resumable(program, opts, &CancelToken::never(), None, &mut |_| {})
 }
 
 /// A checkpointable incumbent: the best feasible assignment a run has
@@ -150,14 +137,21 @@ pub struct Incumbent {
     pub violated_weight: u64,
 }
 
-/// [`solve_cancellable`] with incumbent checkpoint/resume. `on_incumbent`
-/// fires whenever the search records a strictly better feasible
-/// assignment; a restored incumbent seeds both the answer-so-far and
-/// the pruning bound, so a resumed search never re-proves what the
-/// crashed run already established. Because bounds only tighten, a
-/// resumed-from-incumbent search reaches the same optimal solution an
-/// uninterrupted run does (node counts may differ — the restored bound
-/// prunes harder).
+/// [`solve`] under cooperative cancellation, with incumbent
+/// checkpoint/resume.
+///
+/// The search polls `cancel` every [`CANCEL_POLL_NODES`] decision nodes
+/// and, when it fires, stops with `stats.truncated = true` and the best
+/// incumbent found so far — the same semantics as hitting the node
+/// limit. A truncated search never proves unsatisfiability.
+///
+/// `on_incumbent` fires whenever the search records a strictly better
+/// feasible assignment; a restored incumbent seeds both the
+/// answer-so-far and the pruning bound, so a resumed search never
+/// re-proves what the crashed run already established. Because bounds
+/// only tighten, a resumed-from-incumbent search reaches the same
+/// optimal solution an uninterrupted run does (node counts may differ —
+/// the restored bound prunes harder).
 ///
 /// A restored incumbent whose assignment length does not match the
 /// program is ignored (it belongs to some other problem).
@@ -614,7 +608,8 @@ mod tests {
         }
         let token = CancelToken::never();
         token.cancel();
-        let (outcome, stats) = solve_cancellable(&p, &SolverOptions::default(), &token);
+        let (outcome, stats) =
+            solve_resumable(&p, &SolverOptions::default(), &token, None, &mut |_| {});
         assert!(stats.truncated, "fired token must truncate the search");
         // 19 soft ring constraints, no hard constraints: the program is
         // trivially satisfiable, so any Unsatisfiable claim under

@@ -158,40 +158,28 @@ impl Backend for AnnealerBackend {
             });
         }
         let t = Instant::now();
-        let interval = ctx.ckpt.interval();
-        let result = if interval == 0 {
-            self.device.sample_qubo_embedded_cancellable(
-                qubo,
-                &embedding,
-                self.num_reads,
-                seed,
-                &ctx.cancel,
-            )?
-        } else {
-            // Durable run: restore the interrupted job's completed
-            // reads (if any) and checkpoint every `interval` reads so
-            // a crash loses at most one chunk of sampling work.
-            let (skip, restored) = ctx
-                .ckpt
-                .load("annealer")
-                .and_then(|buf| decode_anneal_progress(&buf))
-                .unwrap_or_default();
-            let skip = skip.min(self.num_reads);
-            let ckpt = std::sync::Arc::clone(&ctx.ckpt);
-            self.device.sample_qubo_embedded_resumable(
-                qubo,
-                &embedding,
-                self.num_reads,
-                seed,
-                skip,
-                restored,
-                interval as usize,
-                &ctx.cancel,
-                &mut |done, samples| {
-                    ckpt.save("annealer", &encode_anneal_progress(done, samples));
-                },
-            )?
-        };
+        // Restore the interrupted job's completed reads (if any) and
+        // checkpoint every `ckpt.interval()` reads, so a crash loses at
+        // most one chunk of sampling work.
+        let (skip, restored) = ctx
+            .ckpt
+            .load("annealer")
+            .and_then(|buf| decode_anneal_progress(&buf))
+            .unwrap_or_default();
+        let ckpt = &ctx.ckpt;
+        let result = self.device.sample_qubo_embedded_resumable(
+            qubo,
+            &embedding,
+            self.num_reads,
+            seed,
+            skip.min(self.num_reads),
+            restored,
+            ckpt.interval() as usize,
+            &ctx.cancel,
+            &mut |done, samples| {
+                ckpt.save("annealer", &encode_anneal_progress(done, samples));
+            },
+        )?;
         ctx.stages.sample = t.elapsed();
         if ctx.cancel.is_cancelled() {
             if result.samples.is_empty() {

@@ -6,8 +6,7 @@ use crate::durable::{decode_incumbent, encode_incumbent};
 use crate::error::ExecError;
 use crate::fault::FaultInjection;
 use crate::journal::{JournalKind, RunCtx};
-use nck_classical::{solve_cancellable, solve_resumable, Incumbent, SolveOutcome, SolverOptions};
-use std::sync::Arc;
+use nck_classical::{solve_resumable, Incumbent, SolveOutcome, SolverOptions};
 use std::time::Instant;
 
 /// Exact branch and bound over the NchooseK constraints directly.
@@ -47,22 +46,17 @@ impl Backend for ClassicalBackend {
         ctx.enter_stage("sample");
         self.faults.apply_sample_faults(ctx)?;
         let t = Instant::now();
-        let (outcome, stats) = if ctx.ckpt.interval() == 0 {
-            solve_cancellable(prepared.program, &self.options, &ctx.cancel)
-        } else {
-            // Durable run: seed the search with the persisted incumbent
-            // (the branch-and-bound prunes against it immediately) and
-            // checkpoint every improvement.
-            let restored = ctx.ckpt.load("classical").and_then(|buf| decode_incumbent(&buf));
-            let sink = Arc::clone(&ctx.ckpt);
-            solve_resumable(
-                prepared.program,
-                &self.options,
-                &ctx.cancel,
-                restored,
-                &mut |inc: &Incumbent| sink.save("classical", &encode_incumbent(inc)),
-            )
-        };
+        // Seed the search with the persisted incumbent (the
+        // branch-and-bound prunes against it immediately) and
+        // checkpoint every improvement.
+        let restored = ctx.ckpt.load("classical").and_then(|buf| decode_incumbent(&buf));
+        let (outcome, stats) = solve_resumable(
+            prepared.program,
+            &self.options,
+            &ctx.cancel,
+            restored,
+            &mut |inc: &Incumbent| ctx.ckpt.save("classical", &encode_incumbent(inc)),
+        );
         ctx.stages.sample = t.elapsed();
         let metrics = BackendMetrics::Classical {
             nodes: stats.nodes,

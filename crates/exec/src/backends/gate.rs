@@ -62,10 +62,10 @@ impl GateModelBackend {
     }
 
     /// Run QAOA at depth `layers`, checkpointing the optimizer iterate
-    /// through `ckpt` when the run is durable (interval > 0). A
-    /// restored state is only handed to the optimizer when its simplex
-    /// matches this depth's parameter dimension — a checkpoint taken
-    /// at p = 3 must not seed the p = 1 fallback.
+    /// through `ckpt` every `ckpt.interval()` iterations. A restored
+    /// state is only handed to the optimizer when its simplex matches
+    /// this depth's parameter dimension — a checkpoint taken at p = 3
+    /// must not seed the p = 1 fallback.
     #[allow(clippy::too_many_arguments)]
     fn qaoa(
         &self,
@@ -77,18 +77,7 @@ impl GateModelBackend {
         restored: Option<NmState>,
     ) -> Result<QaoaRun, QaoaError> {
         let interval = ckpt.interval();
-        if interval == 0 {
-            return self.device.run_qaoa_cancellable(
-                qubo,
-                layers,
-                self.shots,
-                self.max_iter,
-                seed,
-                cancel,
-            );
-        }
         let state = restored.filter(|s| s.simplex.len() == 2 * layers + 1);
-        let sink = Arc::clone(ckpt);
         self.device.run_qaoa_resumable(
             qubo,
             layers,
@@ -99,7 +88,7 @@ impl GateModelBackend {
             state,
             &mut |s: &NmState| {
                 if (s.iterations as u64).is_multiple_of(interval) {
-                    sink.save("gate", &encode_nm_state(s));
+                    ckpt.save("gate", &encode_nm_state(s));
                 }
             },
         )

@@ -77,18 +77,16 @@ impl Backend for GroverBackend {
         let t = Instant::now();
         // BBHT: try m = ⌈BBHT_GROWTH^j⌉ iterations, j = 0, 1, …;
         // measure once per guess. Expected O(√(N/M)) total oracle calls.
-        // Durable runs checkpoint the schedule position after each
-        // guess, so a resumed attempt re-enters the loop at the guess
-        // the crash interrupted (each guess is seeded by `seed ^ j`,
-        // so the continuation is the same search the crashed run was
-        // in the middle of).
-        let interval = ctx.ckpt.interval();
-        let restored = if interval == 0 {
-            None
-        } else {
-            ctx.ckpt.load("grover").and_then(|buf| decode_grover_progress(&buf))
-        };
-        let restored = restored.filter(|p| p.next_guess <= self.max_guesses);
+        // The schedule position is checkpointed after each guess, so a
+        // resumed attempt re-enters the loop at the guess the crash
+        // interrupted (each guess is seeded by `seed ^ j`, so the
+        // continuation is the same search the crashed run was in the
+        // middle of).
+        let restored = ctx
+            .ckpt
+            .load("grover")
+            .and_then(|buf| decode_grover_progress(&buf))
+            .filter(|p| p.next_guess <= self.max_guesses);
         let start_guess = restored.as_ref().map_or(0, |p| p.next_guess);
         let mut m = restored.as_ref().map_or(1.0f64, |p| p.m);
         let mut found: Option<Vec<bool>> = None;
@@ -114,18 +112,16 @@ impl Backend for GroverBackend {
                 break;
             }
             m = (m * BBHT_GROWTH).min((1u64 << n) as f64);
-            if interval != 0 {
-                ctx.ckpt.save(
-                    "grover",
-                    &encode_grover_progress(&GroverProgress {
-                        next_guess: j + 1,
-                        measurements: measurements as u64,
-                        total_iterations: total_iterations as u64,
-                        m,
-                        success_probability,
-                    }),
-                );
-            }
+            ctx.ckpt.save(
+                "grover",
+                &encode_grover_progress(&GroverProgress {
+                    next_guess: j + 1,
+                    measurements: measurements as u64,
+                    total_iterations: total_iterations as u64,
+                    m,
+                    success_probability,
+                }),
+            );
         }
         ctx.stages.sample = t.elapsed();
         let assignment = found.ok_or(ExecError::Unsatisfiable)?;

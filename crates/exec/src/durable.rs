@@ -605,12 +605,20 @@ impl DurableRun {
     }
 }
 
+/// Interval 0 disables mid-solve checkpoints here, and only here:
+/// backends always run their resumable path, so `save` must append
+/// nothing and `load` must restore nothing.
 impl Checkpointer for DurableRun {
     fn save(&self, tag: &str, payload: &[u8]) {
-        self.record(&Record::Checkpoint { tag: tag.to_string(), payload: payload.to_vec() });
+        if self.interval != 0 {
+            self.record(&Record::Checkpoint { tag: tag.to_string(), payload: payload.to_vec() });
+        }
     }
 
     fn load(&self, tag: &str) -> Option<Vec<u8>> {
+        if self.interval == 0 {
+            return None;
+        }
         self.restored.lock().remove(tag)
     }
 
@@ -1055,6 +1063,26 @@ mod tests {
         for cut in 0..snap.len() {
             assert!(RecoveredRun::decode(&snap[..cut]).is_err(), "cut at {cut} accepted");
         }
+    }
+
+    #[test]
+    fn interval_zero_neither_saves_nor_restores_checkpoints() {
+        let dir = std::env::temp_dir().join(format!(
+            "nck-durable-interval0-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RunStore::open_fresh(&dir).unwrap();
+        let restored = HashMap::from([("annealer".to_string(), vec![1, 2, 3])]);
+        let sink = DurableRun::with_restored(store, restored).with_interval(0);
+        sink.save("annealer", &[4, 5, 6]);
+        assert_eq!(sink.load("annealer"), None);
+        assert!(sink.death().is_none());
+        drop(sink);
+        let (_store, recovered) = RunStore::open(&dir).unwrap();
+        assert!(recovered.records.is_empty(), "interval 0 appended a record");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -78,42 +78,7 @@ pub use supervisor::{SupervisedFailure, Supervisor};
 
 use nck_anneal::AnnealerDevice;
 use nck_circuit::GateModelDevice;
-use nck_compile::CompiledProgram;
-use nck_core::{Program, SolutionQuality};
-use std::sync::Arc;
-
-/// The outcome of running a program on a backend — the original
-/// porcelain shape, kept for callers of the free-function entry
-/// points. [`ExecReport`] carries the same result plus stage timings,
-/// tallies, and backend metrics.
-#[derive(Clone, Debug)]
-pub struct ExecOutcome {
-    /// Best assignment over the program variables.
-    pub assignment: Vec<bool>,
-    /// Its quality per Definition 8, judged against the classical
-    /// optimum.
-    pub quality: SolutionQuality,
-    /// Soft constraints satisfied by `assignment` (count).
-    pub soft_satisfied: usize,
-    /// The classical soft optimum, as a satisfied *weight* (equal to a
-    /// count when all weights are 1).
-    pub max_soft: u64,
-    /// The compiled program (QUBO size, ancillas, weights, stats).
-    pub compiled: CompiledProgram,
-}
-
-impl ExecReport {
-    /// Collapse the report to the original [`ExecOutcome`] shape.
-    pub fn into_outcome(self) -> ExecOutcome {
-        ExecOutcome {
-            assignment: self.assignment,
-            quality: self.quality,
-            soft_satisfied: self.soft_satisfied,
-            max_soft: self.max_soft,
-            compiled: Arc::try_unwrap(self.compiled).unwrap_or_else(|arc| (*arc).clone()),
-        }
-    }
-}
+use nck_core::Program;
 
 /// Solve on the simulated D-Wave annealer: one job of `num_reads`
 /// samples, best sample reported (the paper's §VII protocol). Thin
@@ -123,10 +88,10 @@ pub fn run_on_annealer(
     device: &AnnealerDevice,
     num_reads: usize,
     seed: u64,
-) -> Result<ExecOutcome, ExecError> {
+) -> Result<ExecReport, ExecError> {
     let plan = ExecutionPlan::new(program);
     let backend = AnnealerBackend::new(device.clone(), num_reads);
-    plan.run(&backend, seed).map(ExecReport::into_outcome)
+    plan.run(&backend, seed)
 }
 
 /// Solve on the simulated gate-model device via QAOA (single returned
@@ -139,19 +104,19 @@ pub fn run_on_gate_model(
     shots: usize,
     max_iter: usize,
     seed: u64,
-) -> Result<ExecOutcome, ExecError> {
+) -> Result<ExecReport, ExecError> {
     let plan = ExecutionPlan::new(program);
     let backend = GateModelBackend::new(device.clone(), layers, shots, max_iter);
-    plan.run(&backend, seed).map(ExecReport::into_outcome)
+    plan.run(&backend, seed)
 }
 
 /// Solve a *hard-only* program by Grover search on the simulated gate
 /// model. Thin wrapper over [`ExecutionPlan`] + [`GroverBackend`];
 /// soft constraints or oversized programs yield
 /// [`ExecError::SoftUnsupported`] / [`ExecError::TooLarge`].
-pub fn run_on_grover(program: &Program, seed: u64) -> Result<ExecOutcome, ExecError> {
+pub fn run_on_grover(program: &Program, seed: u64) -> Result<ExecReport, ExecError> {
     let plan = ExecutionPlan::new(program);
-    plan.run(&GroverBackend::default(), seed).map(ExecReport::into_outcome)
+    plan.run(&GroverBackend::default(), seed)
 }
 
 /// Solve classically (the Z3-role baseline): exact branch and bound.

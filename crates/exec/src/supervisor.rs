@@ -591,10 +591,12 @@ impl Supervisor {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::backends::{ClassicalBackend, GroverBackend};
+    use crate::backends::{AnnealerBackend, ClassicalBackend, GateModelBackend, GroverBackend};
     use crate::breaker::BreakerConfig;
     use crate::fault::FaultInjection;
     use crate::stage::StageOutcome;
+    use nck_anneal::AnnealerDevice;
+    use nck_circuit::GateModelDevice;
     use nck_core::{Program, SolutionQuality};
     use nck_store::{KillPoint, KillSpec, StoreError};
     use std::path::PathBuf;
@@ -857,25 +859,45 @@ mod tests {
 
     #[test]
     fn durable_run_matches_plain_run_and_persists_the_journal() {
-        let p = vertex_cover();
-        let plan = ExecutionPlan::new(&p);
-        let backend = ClassicalBackend::default();
-        let sup = Supervisor::default();
-        let tmp = TempDir::new("plainmatch");
+        // Every backend runs one solve path; a durable run only adds
+        // checkpoints (here after every work unit, so each backend's
+        // save path fires) and must not change the answer.
+        let soft = vertex_cover();
+        let mut hard = Program::new();
+        let vs = hard.new_vars("v", 5).unwrap();
+        for (u, w) in [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)] {
+            hard.nck(vec![vs[u], vs[w]], [1, 2]).unwrap();
+        }
+        let annealer = AnnealerBackend::new(AnnealerDevice::ideal(16), 20);
+        let gate = GateModelBackend::new(GateModelDevice::ideal(16), 1, 256, 20);
+        let grover = GroverBackend::default();
+        let classical = ClassicalBackend::default();
+        let cases: [(&str, &Program, &dyn Backend); 4] = [
+            ("annealer", &soft, &annealer),
+            ("gate", &soft, &gate),
+            ("grover", &hard, &grover),
+            ("classical", &soft, &classical),
+        ];
+        let sup = Supervisor { checkpoint_interval: 1, ..Supervisor::default() };
+        for (name, program, backend) in cases {
+            let plan = ExecutionPlan::new(program);
+            let tmp = TempDir::new(&format!("plainmatch-{name}"));
+            let plain = sup.run(&plan, &[backend], 7).unwrap();
+            let durable = sup.run_durable(&plan, &[backend], 7, &tmp.0).unwrap();
+            assert_eq!(durable.backend, name);
+            assert_eq!(durable.assignment, plain.assignment, "{name}");
+            assert_eq!(durable.quality, plain.quality, "{name}");
+            assert_eq!(durable.soft_satisfied, plain.soft_satisfied, "{name}");
+            assert_eq!(durable.tally, plain.tally, "{name}");
 
-        let plain = sup.run(&plan, &[&backend], 7).unwrap();
-        let durable = sup.run_durable(&plan, &[&backend], 7, &tmp.0).unwrap();
-        assert_eq!(durable.assignment, plain.assignment);
-        assert_eq!(durable.quality, plain.quality);
-        assert_eq!(durable.soft_satisfied, plain.soft_satisfied);
-
-        // The store holds the whole run: a snapshot marked finished
-        // whose journal equals the in-memory one event-for-event
-        // (timebase offsets round-trip bit-exactly).
-        let (_store, recovered) = RunStore::open_resume(&tmp.0).unwrap();
-        let run = RecoveredRun::recover(&recovered).unwrap();
-        assert_eq!(run.finished, Some(true));
-        assert_eq!(run.journal, durable.journal);
+            // The store holds the whole run: a snapshot marked finished
+            // whose journal equals the in-memory one event-for-event
+            // (timebase offsets round-trip bit-exactly).
+            let (_store, recovered) = RunStore::open_resume(&tmp.0).unwrap();
+            let run = RecoveredRun::recover(&recovered).unwrap();
+            assert_eq!(run.finished, Some(true), "{name}");
+            assert_eq!(run.journal, durable.journal, "{name}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Exhaustive (brute-force) QUBO solving.
 //!
 //! The test suite and the optimality classifier both need ground truth
-//! for small problems. The search space is embarrassingly parallel, so
-//! we split the `2ⁿ` assignments across rayon tasks and reduce.
+//! for small problems. The `2ⁿ` assignments are split into chunks and
+//! the per-chunk minima reduced; the vendored `rayon` stand-in runs the
+//! chunks one after another.
 
 use crate::qubo::Qubo;
 use rayon::prelude::*;

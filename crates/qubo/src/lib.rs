@@ -9,7 +9,7 @@
 //!   remapping for summing per-constraint QUBOs into a program QUBO.
 //! * [`Ising`] — the ±1-spin form used by the annealer and the QAOA
 //!   phase separator, with exact conversions in both directions.
-//! * [`exhaustive`] — rayon-parallel brute-force minimization, the
+//! * [`exhaustive`] — chunked brute-force minimization, the
 //!   ground-truth oracle for tests and optimality classification.
 
 #![warn(missing_docs)]

@@ -11,9 +11,9 @@
 
 pub use nck_exec::{
     run_classically, run_on_annealer, run_on_gate_model, run_on_grover, AnnealerBackend, Backend,
-    BackendMetrics, Candidates, ClassicalBackend, ExecError, ExecOutcome, ExecReport,
-    ExecutionPlan, GateModelBackend, GroverBackend, PlanStats, Prepared, RetryPolicy, RunBudget,
-    RunJournal, StageOutcome, StageTimings, SupervisedFailure, Supervisor, Tally, BBHT_GROWTH,
+    BackendMetrics, Candidates, ClassicalBackend, ExecError, ExecReport, ExecutionPlan,
+    GateModelBackend, GroverBackend, PlanStats, Prepared, RetryPolicy, RunBudget, RunJournal,
+    StageOutcome, StageTimings, SupervisedFailure, Supervisor, Tally, BBHT_GROWTH,
     PACKED_SAMPLER_LIMIT,
 };
 

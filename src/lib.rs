@@ -59,9 +59,9 @@ pub use nck_smt;
 pub mod prelude {
     pub use crate::exec::{
         run_classically, run_on_annealer, run_on_gate_model, run_on_grover, AnnealerBackend,
-        Backend, BackendMetrics, ClassicalBackend, ExecError, ExecOutcome, ExecReport,
-        ExecutionPlan, GateModelBackend, GroverBackend, RetryPolicy, RunBudget, StageTimings,
-        SupervisedFailure, Supervisor,
+        Backend, BackendMetrics, ClassicalBackend, ExecError, ExecReport, ExecutionPlan,
+        GateModelBackend, GroverBackend, RetryPolicy, RunBudget, StageTimings, SupervisedFailure,
+        Supervisor,
     };
     pub use nck_anneal::AnnealerDevice;
     pub use nck_circuit::GateModelDevice;
