@@ -78,10 +78,17 @@ impl EmbeddedIsing {
     /// per chain (ties resolve to TRUE). Returns the logical sample and
     /// the number of broken chains.
     pub fn unembed(&self, physical_sample: &[bool]) -> (Vec<bool>, usize) {
+        self.unembed_with(|q| physical_sample[q])
+    }
+
+    /// [`unembed`](Self::unembed) a physical sample given as the value
+    /// `bit(q)` of each qubit `q`, for a caller that holds the sample
+    /// in another layout.
+    pub fn unembed_with(&self, bit: impl Fn(usize) -> bool) -> (Vec<bool>, usize) {
         let mut logical = Vec::with_capacity(self.embedding.num_logical());
         let mut broken = 0;
         for chain in self.embedding.chains() {
-            let ups = chain.iter().filter(|&&q| physical_sample[q]).count();
+            let ups = chain.iter().filter(|&&q| bit(q)).count();
             if ups != 0 && ups != chain.len() {
                 broken += 1;
             }

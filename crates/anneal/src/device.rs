@@ -8,7 +8,7 @@
 use crate::chain::{embed_ising, suggested_chain_strength, EmbeddedIsing};
 use crate::embed::{find_embedding, Embedding};
 use crate::gauge::Gauge;
-use crate::sampler::{sample_ising_clustered_range, NoiseModel, SaParams};
+use crate::sampler::{splitmix64, NoiseModel, PreparedIsing, SaParams};
 use crate::timing::TimingModel;
 use crate::topology::Topology;
 use nck_cancel::CancelToken;
@@ -248,57 +248,49 @@ impl AnnealerDevice {
         let embedded: EmbeddedIsing = embed_ising(&logical, embedding, &self.topology, strength);
         // Split the reads across spin-reversal transforms; gauge 0 is
         // the identity so num_gauges = 1 preserves the plain behavior.
+        // Every gauge samples the job seed at its reads' global indices.
         let gauges = self.num_gauges.max(1);
         let mut samples: Vec<AnnealSample> = restored;
         let n_phys = self.topology.num_qubits();
         let mut g_start = 0usize; // global index of this gauge's first read
         for gi in 0..gauges {
-            let reads_here = num_reads / gauges + usize::from(gi < num_reads % gauges);
-            let g_end = g_start + reads_here;
-            if reads_here == 0 || g_end <= skip_reads || cancel.is_cancelled() {
+            let g_end = g_start + num_reads / gauges + usize::from(gi < num_reads % gauges);
+            // First read of this gauge still to draw.
+            let first = skip_reads.max(g_start);
+            if first >= g_end || cancel.is_cancelled() {
                 g_start = g_end;
                 continue;
             }
-            let gauge = if gi == 0 {
-                Gauge::identity(n_phys)
-            } else {
-                Gauge::random(n_phys, seed ^ (gi as u64).wrapping_mul(0xd1b54a32d192ed03))
+            let gauge = job_gauge(seed, gi, n_phys);
+            let prepared = PreparedIsing::new(&gauge.apply(&embedded.physical), embedding.chains());
+            let compact = CompactReadout::new(&gauge, prepared.qubits());
+            // Each read decodes in the worker that drew it.
+            let readout = |spins: &[bool]| {
+                let (mut assignment, broken_chains) =
+                    embedded.unembed_with(|q| compact.bit(spins, q));
+                let mut energy = qubo.energy(&assignment);
+                if self.postprocess {
+                    let (polished, e, _) = crate::postprocess::steepest_descent(qubo, &assignment);
+                    assignment = polished;
+                    energy = e;
+                }
+                AnnealSample { assignment, energy, broken_chains }
             };
-            let physical = gauge.apply(&embedded.physical);
-            let lo = skip_reads.saturating_sub(g_start);
-            let step = if chunk == 0 { reads_here } else { chunk };
-            let mut pos = lo;
-            while pos < reads_here {
+            let step = if chunk == 0 { g_end - g_start } else { chunk };
+            let mut pos = first;
+            while pos < g_end {
                 if cancel.is_cancelled() {
                     break;
                 }
-                let hi = (pos + step).min(reads_here);
-                let reads = sample_ising_clustered_range(
-                    &physical,
-                    &self.sa,
-                    &self.noise,
-                    pos..hi,
-                    seed ^ gi as u64,
-                    embedding.chains(),
-                    cancel,
-                );
-                let complete = reads.len() == hi - pos && !cancel.is_cancelled();
-                for r in &reads {
-                    let ungauged = gauge.decode(r);
-                    let (mut assignment, broken_chains) = embedded.unembed(&ungauged);
-                    let mut energy = qubo.energy(&assignment);
-                    if self.postprocess {
-                        let (polished, e, _) =
-                            crate::postprocess::steepest_descent(qubo, &assignment);
-                        assignment = polished;
-                        energy = e;
-                    }
-                    samples.push(AnnealSample { assignment, energy, broken_chains });
-                }
+                let hi = (pos + step).min(g_end);
+                let reads =
+                    prepared.sample_range(&self.sa, &self.noise, pos..hi, seed, cancel, &readout);
                 // Only a fully completed chunk is a safe resume point:
                 // a cancelled chunk may have dropped reads.
+                let complete = reads.len() == hi - pos && !cancel.is_cancelled();
+                samples.extend(reads);
                 if complete && chunk != 0 {
-                    on_progress(g_start + hi, &samples);
+                    on_progress(hi, &samples);
                 }
                 pos = hi;
             }
@@ -318,9 +310,51 @@ impl AnnealerDevice {
     }
 }
 
+/// The spin-reversal transform of gauge `gi` of a job. Gauge 0 is the
+/// identity; the others draw their masks from a SplitMix64-finalized
+/// seed, so a linear relation between two job seeds does not make
+/// their masks repeat.
+fn job_gauge(seed: u64, gi: usize, num_spins: usize) -> Gauge {
+    if gi == 0 {
+        Gauge::identity(num_spins)
+    } else {
+        Gauge::random(
+            num_spins,
+            splitmix64(splitmix64(seed) ^ (gi as u64).wrapping_mul(0xd1b54a32d192ed03)),
+        )
+    }
+}
+
+/// Reads one gauge's compact readout as the physical sample that
+/// [`Gauge::decode`] would give, without building it: qubit by qubit,
+/// with the gauge undone.
+struct CompactReadout<'g> {
+    /// Per physical qubit: its compact index, or `None` for a qubit
+    /// with no field or coupling, which reads +1.
+    index: Vec<Option<usize>>,
+    gauge: &'g Gauge,
+}
+
+impl<'g> CompactReadout<'g> {
+    /// `active` lists the compact readout's qubits, ascending.
+    fn new(gauge: &'g Gauge, active: &[usize]) -> Self {
+        let mut index = vec![None; gauge.num_spins()];
+        for (ci, &q) in active.iter().enumerate() {
+            index[q] = Some(ci);
+        }
+        CompactReadout { index, gauge }
+    }
+
+    /// Qubit `q`'s value in the ungauged problem, read from `spins`.
+    fn bit(&self, spins: &[bool], q: usize) -> bool {
+        self.index[q].is_none_or(|ci| spins[ci]) != self.gauge.flips(q)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nck_qubo::Ising;
 
     /// Vertex-cover-edge QUBO: ground states are the three assignments
     /// with at least one TRUE.
@@ -436,6 +470,98 @@ mod tests {
         let broken: usize = r.samples.iter().map(|s| s.broken_chains).sum();
         assert_eq!(broken, 10);
         assert_eq!(r.chain_break_fraction, 0.5);
+    }
+
+    #[test]
+    fn worker_decode_matches_gauge_decode_then_unembed() {
+        // Chains [0 1] [2 3 4] [5] [6 7]; qubit 4 (in the middle chain)
+        // and qubit 7 carry no field or coupling, so the sampler never
+        // sees them and they read +1 before the gauge.
+        let embedding =
+            Embedding::from_chains(vec![vec![0, 1], vec![2, 3, 4], vec![5], vec![6, 7]]);
+        let mut physical = Ising::new(9);
+        physical.add_field(0, 0.3);
+        physical.add_coupling(0, 1, -1.0);
+        physical.add_coupling(1, 2, 0.5);
+        physical.add_coupling(2, 3, -1.0);
+        physical.add_coupling(3, 5, -0.25);
+        physical.add_field(6, 0.1);
+        let embedded =
+            EmbeddedIsing { physical, embedding: embedding.clone(), chain_strength: 1.0 };
+        for gauge_seed in 0..6 {
+            let gauge = Gauge::random(9, gauge_seed);
+            let prepared = PreparedIsing::new(&gauge.apply(&embedded.physical), embedding.chains());
+            let active = prepared.qubits();
+            assert_eq!(active, &[0, 1, 2, 3, 5, 6]);
+            let compact = CompactReadout::new(&gauge, active);
+            for bits in 0..1u32 << active.len() {
+                let spins: Vec<bool> = (0..active.len()).map(|i| bits >> i & 1 == 1).collect();
+                let mut raw = vec![true; 9];
+                for (&q, &v) in active.iter().zip(&spins) {
+                    raw[q] = v;
+                }
+                assert_eq!(
+                    embedded.unembed_with(|q| compact.bit(&spins, q)),
+                    embedded.unembed(&gauge.decode(&raw)),
+                    "gauge {gauge_seed}, spins {bits:06b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gauges_never_share_a_read_stream_across_a_seed_sweep() {
+        // With no sweeps a read is its random initial spins, a
+        // fingerprint of its RNG stream. Unit chains on all-field
+        // variables make each logical sample that fingerprint seen
+        // through the gauge, which the test undoes.
+        const VARS: usize = 40;
+        let mut dev = AnnealerDevice::ideal(VARS);
+        dev.sa.num_sweeps = 0;
+        dev.num_gauges = 4;
+        let mut qubo = Qubo::new(VARS);
+        for v in 0..VARS {
+            qubo.add_linear(v, -1.0 - v as f64);
+        }
+        let embedding = Embedding::from_chains((0..VARS).map(|v| vec![v]).collect());
+        let reads = 8;
+        let mut streams = std::collections::HashMap::new();
+        for seed in 0..16u64 {
+            let mut drawn: Vec<AnnealSample> = Vec::new();
+            dev.sample_qubo_embedded_resumable(
+                &qubo,
+                &embedding,
+                reads,
+                seed,
+                0,
+                Vec::new(),
+                1,
+                &CancelToken::never(),
+                &mut |done, samples| {
+                    if done == reads {
+                        drawn = samples.to_vec();
+                    }
+                },
+            )
+            .unwrap();
+            assert_eq!(drawn.len(), reads);
+            for (read, sample) in drawn.iter().enumerate() {
+                let gi = read / (reads / dev.num_gauges);
+                let gauge = job_gauge(seed, gi, VARS);
+                let raw: Vec<bool> = sample
+                    .assignment
+                    .iter()
+                    .enumerate()
+                    .map(|(v, &x)| x ^ gauge.flips(v))
+                    .collect();
+                if let Some(other) = streams.insert(raw, (seed, gi, read)) {
+                    panic!(
+                        "(seed, gauge, read) {:?} repeats the stream of {other:?}",
+                        (seed, gi, read)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

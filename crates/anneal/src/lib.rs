@@ -12,7 +12,7 @@
 //! * [`chain`] — chain strength, field/coupling splitting, and
 //!   majority-vote chain-break repair.
 //! * [`sampler`] — simulated annealing with an ICE-style analog noise
-//!   model.
+//!   model, reads drawn on scoped worker threads.
 //! * [`timing`] — the §VIII-C QPU access-time model (15 ms programming,
 //!   20 µs anneals, ≈30 ms per 100-sample job).
 //! * [`device`] — the assembled [`AnnealerDevice`] with the
@@ -49,6 +49,6 @@ pub use device::{AnnealError, AnnealResult, AnnealSample, AnnealerDevice};
 pub use embed::{find_embedding, Embedding};
 pub use gauge::Gauge;
 pub use postprocess::steepest_descent;
-pub use sampler::{sample_ising, sample_ising_clustered_range, NoiseModel, SaParams};
+pub use sampler::{sample_ising, NoiseModel, SaParams};
 pub use timing::TimingModel;
 pub use topology::Topology;

@@ -3,14 +3,27 @@
 //! The physical anneal of the D-Wave device is replaced by classical
 //! simulated annealing over the *embedded* problem, with an ICE-style
 //! noise model: per-read Gaussian perturbation of fields and couplings
-//! plus readout flips. Reads are independent and each is seeded by its
-//! own index; the job runs them one after another.
+//! plus readout flips. A job prepares its problem once
+//! (`PreparedIsing`); a job of more than one block of reads runs them
+//! on scoped worker threads, one per available core. Each read is
+//! seeded by its own index, so the samples are the same whichever
+//! worker drew them.
 
 use nck_cancel::CancelToken;
 use nck_qubo::Ising;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
+
+/// Reads a worker claims at a time. A range of at most this many reads
+/// runs on the calling thread, so a 100-read job (the paper's §VII
+/// protocol) never spawns one. On a 2-core x86-64 machine, spawning
+/// just an empty thread per job made the embedding-bound `paper-cold`
+/// benchmark workload ~10% slower at its p90 latency, more than a
+/// second worker saves on so few reads.
+const BLOCK: usize = 128;
 
 /// Simulated-annealing schedule parameters.
 #[derive(Clone, Copy, Debug)]
@@ -55,39 +68,43 @@ impl NoiseModel {
     }
 }
 
-/// Compact per-qubit problem view touching only active qubits.
-struct Compact {
-    /// Active qubit ids (those with a field or coupling).
+/// An Ising problem prepared for sampling: its active qubits, their
+/// couplings in CSR form and the precomputed cluster moves. Built once
+/// per job and gauge, then shared read-only by every worker.
+pub(crate) struct PreparedIsing {
+    /// Active qubit ids (those with a field or coupling), ascending.
     qubits: Vec<usize>,
+    /// Field per active qubit.
     h: Vec<f64>,
-    /// Per active qubit: (compact neighbor index, J).
-    adj: Vec<Vec<(usize, f64)>>,
+    /// The couplings of compact qubit `i` sit in slots
+    /// `row[i]..row[i + 1]`, in ascending neighbour order.
+    row: Vec<usize>,
+    /// `(compact neighbour, coupling)` per slot.
+    adj: Vec<(usize, f64)>,
+    /// Per slot, the slot holding the same coupling in the neighbour's
+    /// row.
+    rev: Vec<usize>,
+    /// Cluster moves with two or more active members.
+    clusters: Vec<Cluster>,
 }
 
-fn compact_view(ising: &Ising) -> Compact {
-    let mut active = vec![false; ising.num_spins()];
-    for (i, _) in ising.fields() {
-        active[i] = true;
-    }
-    for ((i, j), _) in ising.couplings() {
-        active[i] = true;
-        active[j] = true;
-    }
-    let qubits: Vec<usize> = (0..ising.num_spins()).filter(|&q| active[q]).collect();
-    let mut index = vec![usize::MAX; ising.num_spins()];
-    for (ci, &q) in qubits.iter().enumerate() {
-        index[q] = ci;
-    }
-    let mut h = vec![0.0; qubits.len()];
-    for (i, f) in ising.fields() {
-        h[index[i]] = f;
-    }
-    let mut adj = vec![Vec::new(); qubits.len()];
-    for ((i, j), c) in ising.couplings() {
-        adj[index[i]].push((index[j], c));
-        adj[index[j]].push((index[i], c));
-    }
-    Compact { qubits, h, adj }
+/// One cluster move: flipping its members together changes the energy
+/// only through their fields and the couplings leaving the cluster.
+struct Cluster {
+    /// Compact member indices, in the order the caller listed them.
+    members: Vec<usize>,
+    /// Member `k`'s couplings leaving the cluster are
+    /// `slots[bounds[k]..bounds[k + 1]]`.
+    bounds: Vec<usize>,
+    slots: Vec<usize>,
+}
+
+/// One worker's per-read buffers, reused across its reads.
+struct ReadBuffers {
+    h: Vec<f64>,
+    adj: Vec<(usize, f64)>,
+    spin: Vec<f64>,
+    out: Vec<bool>,
 }
 
 /// SplitMix64 finalizer: the statistically-mixed output function of
@@ -97,7 +114,7 @@ fn compact_view(ising: &Ising) -> Compact {
 /// `seed ^ read·φ` scheme left read 0 equal to the raw job seed and
 /// made `(seed, read)` pairs collide trivially across seed sweeps
 /// (e.g. `(s ^ φ, 0)` and `(s, 1)` produced identical reads).
-fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
@@ -111,7 +128,8 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 }
 
 /// Draw `num_reads` samples from `ising` (full-length spin vectors,
-/// `true` = +1). Deterministic in `seed`.
+/// `true` = +1; qubits with no field or coupling read +1).
+/// Deterministic in `seed`.
 pub fn sample_ising(
     ising: &Ising,
     params: &SaParams,
@@ -119,169 +137,298 @@ pub fn sample_ising(
     num_reads: usize,
     seed: u64,
 ) -> Vec<Vec<bool>> {
-    sample_ising_clustered_range(
-        ising,
-        params,
-        noise,
-        0..num_reads,
-        seed,
-        &[],
-        &CancelToken::never(),
-    )
+    let prepared = PreparedIsing::new(ising, &[]);
+    let expand = |spins: &[bool]| {
+        let mut full = vec![true; ising.num_spins()];
+        for (&q, &v) in prepared.qubits().iter().zip(spins) {
+            full[q] = v;
+        }
+        full
+    };
+    prepared.sample_range(params, noise, 0..num_reads, seed, &CancelToken::never(), &expand)
 }
 
-/// Draw the reads with global indices in `reads` from `ising`, with
-/// *cluster moves* and cooperative cancellation.
-///
-/// Cluster moves: each sweep additionally proposes flipping every
-/// listed qubit group (an embedding's chains) as a single Metropolis
-/// move. Single-spin dynamics freeze on chained problems — flipping a
-/// logical variable means crossing a barrier of broken-chain states —
-/// whereas the physical annealer's quantum dynamics reorient chains
-/// collectively; cluster moves are the standard classical stand-in
-/// (see DESIGN.md).
-///
-/// Cancellation: the sweep loop polls `cancel` once per sweep. Reads
-/// not yet started when the token fires are dropped entirely; reads in
-/// flight stop annealing and read out their current (partially
-/// annealed) spins, so a deadline yields whatever the job completed
-/// rather than nothing.
-///
-/// Each read's RNG stream depends only on `(seed, read index)`, so
-/// computing reads `[skip..n)` after a restart is bit-identical to the
-/// tail of a single `[0..n)` run — the foundation of mid-solve
-/// checkpoint/resume for the annealer.
-pub fn sample_ising_clustered_range(
-    ising: &Ising,
-    params: &SaParams,
-    noise: &NoiseModel,
-    reads: std::ops::Range<usize>,
-    seed: u64,
-    clusters: &[Vec<usize>],
-    cancel: &CancelToken,
-) -> Vec<Vec<bool>> {
-    let compact = compact_view(ising);
-    let n = compact.qubits.len();
-    // Map cluster qubit ids into compact indices, dropping inactive
-    // qubits (no field/coupling) and trivial singleton clusters.
-    let mut index = vec![usize::MAX; ising.num_spins()];
-    for (ci, &q) in compact.qubits.iter().enumerate() {
-        index[q] = ci;
+impl PreparedIsing {
+    /// Prepare `ising` for sampling with *cluster moves*: each sweep
+    /// additionally proposes flipping every listed qubit group (an
+    /// embedding's chains) as a single Metropolis move. Single-spin
+    /// dynamics freeze on chained problems — flipping a logical
+    /// variable means crossing a barrier of broken-chain states —
+    /// whereas the physical annealer's quantum dynamics reorient chains
+    /// collectively; cluster moves are the standard classical stand-in
+    /// (see DESIGN.md). Inactive qubits are dropped from each group, and
+    /// groups left with fewer than two members are skipped.
+    pub(crate) fn new(ising: &Ising, clusters: &[Vec<usize>]) -> Self {
+        let num_spins = ising.num_spins();
+        let mut active = vec![false; num_spins];
+        let mut degree = vec![0usize; num_spins];
+        for (i, _) in ising.fields() {
+            active[i] = true;
+        }
+        for ((a, b), _) in ising.couplings() {
+            active[a] = true;
+            active[b] = true;
+            degree[a] += 1;
+            degree[b] += 1;
+        }
+        let qubits: Vec<usize> = (0..num_spins).filter(|&q| active[q]).collect();
+        let mut index = vec![usize::MAX; num_spins];
+        for (ci, &q) in qubits.iter().enumerate() {
+            index[q] = ci;
+        }
+        let n = qubits.len();
+        let mut h = vec![0.0; n];
+        for (i, f) in ising.fields() {
+            h[index[i]] = f;
+        }
+        let mut row = Vec::with_capacity(n + 1);
+        row.push(0);
+        for &q in &qubits {
+            row.push(row[row.len() - 1] + degree[q]);
+        }
+        // Couplings come in ascending (a, b) order, so appending each
+        // to both rows fills every row in ascending neighbour order.
+        let mut fill = row[..n].to_vec();
+        let mut adj = vec![(0, 0.0); row[n]];
+        let mut rev = vec![0; row[n]];
+        for ((a, b), c) in ising.couplings() {
+            let (a, b) = (index[a], index[b]);
+            let (sa, sb) = (fill[a], fill[b]);
+            (adj[sa], rev[sa]) = ((b, c), sb);
+            (adj[sb], rev[sb]) = ((a, c), sa);
+            fill[a] += 1;
+            fill[b] += 1;
+        }
+        let mut in_cluster = vec![false; n];
+        let clusters = clusters
+            .iter()
+            .filter_map(|c| {
+                let members: Vec<usize> =
+                    c.iter().map(|&q| index[q]).filter(|&ci| ci != usize::MAX).collect();
+                if members.len() < 2 {
+                    return None;
+                }
+                for &i in &members {
+                    in_cluster[i] = true;
+                }
+                let mut bounds = vec![0];
+                let mut slots = Vec::new();
+                for &i in &members {
+                    slots.extend((row[i]..row[i + 1]).filter(|&s| !in_cluster[adj[s].0]));
+                    bounds.push(slots.len());
+                }
+                for &i in &members {
+                    in_cluster[i] = false;
+                }
+                Some(Cluster { members, bounds, slots })
+            })
+            .collect();
+        PreparedIsing { qubits, h, row, adj, rev, clusters }
     }
-    let compact_clusters: Vec<Vec<usize>> = clusters
-        .iter()
-        .map(|c| {
-            c.iter().filter(|&&q| index[q] != usize::MAX).map(|&q| index[q]).collect::<Vec<usize>>()
-        })
-        .filter(|c: &Vec<usize>| c.len() >= 2)
-        .collect();
-    let betas: Vec<f64> = (0..params.num_sweeps)
-        .map(|s| {
-            if params.num_sweeps <= 1 {
-                params.beta_max
-            } else {
-                let f = s as f64 / (params.num_sweeps - 1) as f64;
-                params.beta_min * (params.beta_max / params.beta_min).powf(f)
+
+    /// Active qubit ids, ascending: entry `i` of a read's compact spins
+    /// is qubit `qubits()[i]`.
+    pub(crate) fn qubits(&self) -> &[usize] {
+        &self.qubits
+    }
+
+    /// Draw the reads with global indices in `reads` and hand each
+    /// read's compact spins (`true` = +1, see
+    /// [`qubits`](Self::qubits)) to `readout`, returning its results in
+    /// read-index order.
+    ///
+    /// The reads run on `available_parallelism()` scoped workers, which
+    /// claim blocks of read indices; a range that fits in one block
+    /// runs on the calling thread, and no thread outlives the call.
+    /// Each read's RNG stream depends only on `(seed, read index)`, so
+    /// the output does not depend on the number of workers, and
+    /// computing reads `[skip..n)` after a restart is bit-identical to
+    /// the tail of a single `[0..n)` run — the foundation of mid-solve
+    /// checkpoint/resume for the annealer.
+    ///
+    /// Cancellation: `cancel` is polled before each read and once per
+    /// sweep. A read not finished when the token fires is dropped, so
+    /// a deadline yields every read the job completed, each whole.
+    pub(crate) fn sample_range<T: Send>(
+        &self,
+        params: &SaParams,
+        noise: &NoiseModel,
+        reads: Range<usize>,
+        seed: u64,
+        cancel: &CancelToken,
+        readout: &(impl Fn(&[bool]) -> T + Sync),
+    ) -> Vec<T> {
+        // Only a range of more than one block can use a second worker.
+        let workers = if reads.len() > BLOCK {
+            thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            1
+        };
+        self.sample_on(workers, params, noise, reads, seed, cancel, readout)
+    }
+
+    /// [`sample_range`](Self::sample_range) on at most `workers`
+    /// threads, the calling thread included.
+    #[allow(clippy::too_many_arguments)]
+    fn sample_on<T: Send>(
+        &self,
+        workers: usize,
+        params: &SaParams,
+        noise: &NoiseModel,
+        reads: Range<usize>,
+        seed: u64,
+        cancel: &CancelToken,
+        readout: &(impl Fn(&[bool]) -> T + Sync),
+    ) -> Vec<T> {
+        let betas: Vec<f64> = (0..params.num_sweeps)
+            .map(|s| {
+                if params.num_sweeps <= 1 {
+                    params.beta_max
+                } else {
+                    let f = s as f64 / (params.num_sweeps - 1) as f64;
+                    params.beta_min * (params.beta_max / params.beta_min).powf(f)
+                }
+            })
+            .collect();
+        // Finalize the job seed before mixing in the read index:
+        // combining the raw inputs linearly (the old `seed ^ read·φ`)
+        // makes stream (seed, read) collide with (seed ^ k·φ, read ± k)
+        // for every k.
+        let mixed = splitmix64(seed);
+        let blocks = reads.len().div_ceil(BLOCK);
+        // Hands out each block index once. The counter publishes no
+        // other data (results come back through `join`), so `Relaxed`
+        // suffices.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut bufs = ReadBuffers {
+                h: vec![0.0; self.h.len()],
+                adj: self.adj.clone(),
+                spin: vec![0.0; self.h.len()],
+                out: vec![false; self.h.len()],
+            };
+            let mut done = Vec::new();
+            loop {
+                let block = next.fetch_add(1, Ordering::Relaxed);
+                if block >= blocks || cancel.is_cancelled() {
+                    break;
+                }
+                let lo = reads.start + block * BLOCK;
+                for read in lo..(lo + BLOCK).min(reads.end) {
+                    let stream =
+                        splitmix64(mixed ^ (read as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
+                    if let Some(spins) = self.anneal(&mut bufs, stream, &betas, noise, cancel) {
+                        done.push((read, readout(spins)));
+                    }
+                }
             }
-        })
-        .collect();
-    reads
-        .into_par_iter()
-        .filter_map(|read| {
-            // A read not yet started when the token fires is dropped;
-            // the job returns only what it completed.
+            done
+        };
+        let mut done = thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers.min(blocks)).map(|_| s.spawn(work)).collect();
+            let mut done = work();
+            for helper in helpers {
+                done.extend(helper.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(read, _)| read);
+        done.into_iter().map(|(_, t)| t).collect()
+    }
+
+    /// Anneal one read on RNG stream `stream` and return its compact
+    /// readout, or `None` if `cancel` fired before the read finished.
+    fn anneal<'s>(
+        &self,
+        bufs: &'s mut ReadBuffers,
+        stream: u64,
+        betas: &[f64],
+        noise: &NoiseModel,
+        cancel: &CancelToken,
+    ) -> Option<&'s [bool]> {
+        if cancel.is_cancelled() {
+            return None;
+        }
+        let mut rng = StdRng::seed_from_u64(stream);
+        // Slices, not `&mut Vec`s, so the hot loops keep each buffer's
+        // address in a register.
+        let h = bufs.h.as_mut_slice();
+        let noisy = bufs.adj.as_mut_slice();
+        let spin = bufs.spin.as_mut_slice();
+        let out = bufs.out.as_mut_slice();
+        // Per-read ICE perturbation.
+        for (v, &base) in h.iter_mut().zip(&self.h) {
+            *v = base + noise.h_sigma * gaussian(&mut rng);
+        }
+        let adj: &[(usize, f64)] = if noise.j_sigma == 0.0 {
+            &self.adj
+        } else {
+            // Perturb each coupling once, in ascending (i, j) order,
+            // and give both of its slots the same value.
+            for i in 0..h.len() {
+                for slot in self.row[i]..self.row[i + 1] {
+                    let (k, c) = self.adj[slot];
+                    if k > i {
+                        let v = c + noise.j_sigma * gaussian(&mut rng);
+                        noisy[slot].1 = v;
+                        noisy[self.rev[slot]].1 = v;
+                    }
+                }
+            }
+            noisy
+        };
+        // Random initial spins.
+        for s in spin.iter_mut() {
+            *s = if rng.random::<bool>() { 1.0 } else { -1.0 };
+        }
+        for &beta in betas {
+            // Cooperative cancellation poll, once per sweep: a read cut
+            // short is dropped.
             if cancel.is_cancelled() {
                 return None;
             }
-            // Finalize the job seed before mixing in the read index:
-            // combining the raw inputs linearly (the old
-            // `seed ^ read·φ`) makes stream (seed, read) collide with
-            // (seed ^ k·φ, read ± k) for every k.
-            let mut rng = StdRng::seed_from_u64(splitmix64(
-                splitmix64(seed) ^ (read as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15),
-            ));
-            // Per-read ICE perturbation.
-            let h: Vec<f64> =
-                compact.h.iter().map(|&v| v + noise.h_sigma * gaussian(&mut rng)).collect();
-            let adj: Vec<Vec<(usize, f64)>> = if noise.j_sigma == 0.0 {
-                compact.adj.clone()
-            } else {
-                // Perturb couplings consistently for both endpoints.
-                let mut adj = compact.adj.clone();
-                for i in 0..n {
-                    for e in 0..adj[i].len() {
-                        let (j, c) = adj[i][e];
-                        if j > i {
-                            let noisy = c + noise.j_sigma * gaussian(&mut rng);
-                            adj[i][e].1 = noisy;
-                            let back = adj[j].iter().position(|&(k, _)| k == i).unwrap();
-                            adj[j][back].1 = noisy;
-                        }
-                    }
+            for i in 0..spin.len() {
+                // ΔE of flipping spin i: −2·s_i·(h_i + Σ J_ij s_j)
+                let mut local = h[i];
+                for &(k, c) in &adj[self.row[i]..self.row[i + 1]] {
+                    local += c * spin[k];
                 }
-                adj
-            };
-            // Random initial spins.
-            let mut spin: Vec<f64> =
-                (0..n).map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 }).collect();
-            let mut in_cluster = vec![false; n];
-            for &beta in &betas {
-                // Cooperative cancellation poll, once per sweep: a read
-                // in flight stops annealing and reads out as-is.
-                if cancel.is_cancelled() {
-                    break;
+                let delta = -2.0 * spin[i] * local;
+                if delta >= 0.0 && (-(beta * delta)).exp() < rng.random::<f64>() {
+                    continue;
                 }
-                for i in 0..n {
-                    // ΔE of flipping spin i: −2·s_i·(h_i + Σ J_ij s_j)
+                spin[i] = -spin[i];
+            }
+            // Cluster pass: flip whole chains at once. Internal
+            // couplings cancel; only fields and boundary couplings
+            // contribute to ΔE.
+            for cluster in &self.clusters {
+                let mut delta = 0.0;
+                for (k, &i) in cluster.members.iter().enumerate() {
                     let mut local = h[i];
-                    for &(j, c) in &adj[i] {
+                    for &slot in &cluster.slots[cluster.bounds[k]..cluster.bounds[k + 1]] {
+                        let (j, c) = adj[slot];
                         local += c * spin[j];
                     }
-                    let delta = -2.0 * spin[i] * local;
-                    if delta >= 0.0 && (-(beta * delta)).exp() < rng.random::<f64>() {
-                        continue;
-                    }
-                    spin[i] = -spin[i];
+                    delta += -2.0 * spin[i] * local;
                 }
-                // Cluster pass: flip whole chains at once. Internal
-                // couplings cancel; only fields and boundary couplings
-                // contribute to ΔE.
-                for cluster in &compact_clusters {
-                    for &i in cluster {
-                        in_cluster[i] = true;
-                    }
-                    let mut delta = 0.0;
-                    for &i in cluster {
-                        let mut local = h[i];
-                        for &(j, c) in &adj[i] {
-                            if !in_cluster[j] {
-                                local += c * spin[j];
-                            }
-                        }
-                        delta += -2.0 * spin[i] * local;
-                    }
-                    if delta < 0.0 || (-(beta * delta)).exp() >= rng.random::<f64>() {
-                        for &i in cluster {
-                            spin[i] = -spin[i];
-                        }
-                    }
-                    for &i in cluster {
-                        in_cluster[i] = false;
+                if delta < 0.0 || (-(beta * delta)).exp() >= rng.random::<f64>() {
+                    for &i in &cluster.members {
+                        spin[i] = -spin[i];
                     }
                 }
             }
-            // Readout with occasional flips; inactive qubits read +1.
-            let mut out = vec![true; ising.num_spins()];
-            for (ci, &q) in compact.qubits.iter().enumerate() {
-                let mut v = spin[ci] > 0.0;
-                if noise.readout_flip > 0.0 && rng.random::<f64>() < noise.readout_flip {
-                    v = !v;
-                }
-                out[q] = v;
+        }
+        // Readout with occasional flips.
+        for (o, &s) in out.iter_mut().zip(spin.iter()) {
+            let mut v = s > 0.0;
+            if noise.readout_flip > 0.0 && rng.random::<f64>() < noise.readout_flip {
+                v = !v;
             }
-            Some(out)
-        })
-        .collect()
+            *o = v;
+        }
+        Some(out)
+    }
 }
 
 #[cfg(test)]
@@ -385,15 +532,154 @@ mod tests {
         let ising = fm_chain(8);
         let token = CancelToken::never();
         token.cancel();
-        let samples = sample_ising_clustered_range(
-            &ising,
+        let samples = PreparedIsing::new(&ising, &[]).sample_range(
             &SaParams::default(),
             &NoiseModel::ideal(),
             0..10,
             3,
-            &[],
             &token,
+            &|s: &[bool]| s.to_vec(),
         );
         assert!(samples.is_empty(), "no read should start after cancellation");
+    }
+
+    /// SplitMix64 stream for building test problems.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            splitmix64(self.0)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A random sparse Ising over `n` spins; every third spin is left
+    /// inactive.
+    fn random_ising(n: usize, seed: u64) -> Ising {
+        let mut rng = Mix(seed);
+        let mut ising = Ising::new(n);
+        let live: Vec<usize> = (0..n).filter(|q| q % 3 != 2).collect();
+        for &q in &live {
+            if rng.next().is_multiple_of(2) {
+                ising.add_field(q, rng.unit() - 0.5);
+            }
+        }
+        for (a, &p) in live.iter().enumerate() {
+            for &q in &live[a + 1..] {
+                if rng.next().is_multiple_of(3) {
+                    ising.add_coupling(p, q, 2.0 * rng.unit() - 1.0);
+                }
+            }
+        }
+        // Keep every live spin active even if it drew no term.
+        for &q in &live {
+            if ising.field(q) == 0.0 {
+                ising.add_field(q, 0.25);
+            }
+        }
+        ising
+    }
+
+    fn copy(spins: &[bool]) -> Vec<bool> {
+        spins.to_vec()
+    }
+
+    #[test]
+    fn threaded_reads_equal_single_read_ranges() {
+        let params = SaParams { num_sweeps: 16, ..SaParams::default() };
+        let noisy = NoiseModel { readout_flip: 0.05, ..NoiseModel::dwave_default() };
+        let never = CancelToken::never();
+        for (case, n) in [1usize, 5, 13, 31].into_iter().enumerate() {
+            let ising = random_ising(n, case as u64);
+            // Chains over active and inactive spins alike; the sampler
+            // drops the inactive ones.
+            let chains: Vec<Vec<usize>> =
+                (0..n).collect::<Vec<_>>().chunks(3).map(<[usize]>::to_vec).collect();
+            for noise in [NoiseModel::ideal(), noisy] {
+                for clusters in [&[][..], &chains[..]] {
+                    let prepared = PreparedIsing::new(&ising, clusters);
+                    for reads in [0..1, 5..37, 0..BLOCK, BLOCK - 3..2 * BLOCK + 5, 3..3 * BLOCK - 2]
+                    {
+                        let one_at_a_time: Vec<Vec<bool>> = reads
+                            .clone()
+                            .flat_map(|r| {
+                                prepared.sample_range(
+                                    &params,
+                                    &noise,
+                                    r..r + 1,
+                                    case as u64 + 7,
+                                    &never,
+                                    &copy,
+                                )
+                            })
+                            .collect();
+                        assert_eq!(one_at_a_time.len(), reads.len());
+                        for workers in [1, 2, 3, 8] {
+                            let threaded = prepared.sample_on(
+                                workers,
+                                &params,
+                                &noise,
+                                reads.clone(),
+                                case as u64 + 7,
+                                &never,
+                                &copy,
+                            );
+                            assert_eq!(
+                                threaded,
+                                one_at_a_time,
+                                "n {n}, reads {reads:?}, workers {workers}, noise {noise:?}, \
+                                 {} clusters",
+                                clusters.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cancelled_reads_are_whole_and_in_index_order() {
+        // Few hot sweeps keep the reads close to random, so every read
+        // is told apart by its spins.
+        let params = SaParams { num_sweeps: 2, beta_min: 0.01, beta_max: 0.02 };
+        let ising = random_ising(48, 3);
+        let prepared = PreparedIsing::new(&ising, &[vec![0, 1, 3], vec![4, 6]]);
+        let noise = NoiseModel::dwave_default();
+        let never = CancelToken::never();
+        let reads = 0..3 * BLOCK;
+        let reference = prepared.sample_range(&params, &noise, reads.clone(), 5, &never, &copy);
+        for (i, a) in reference.iter().enumerate() {
+            assert!(!reference[..i].contains(a), "reference reads {i} repeats an earlier read");
+        }
+        for (workers, k) in [(1, 1), (1, 10), (2, 5), (3, 9), (4, 17)] {
+            let token = CancelToken::never();
+            let calls = AtomicUsize::new(0);
+            let readout = |spins: &[bool]| {
+                if calls.fetch_add(1, Ordering::SeqCst) + 1 == k {
+                    token.cancel();
+                }
+                spins.to_vec()
+            };
+            let got =
+                prepared.sample_on(workers, &params, &noise, reads.clone(), 5, &token, &readout);
+            assert_eq!(got.len(), calls.load(Ordering::SeqCst), "a read out read went missing");
+            assert!(
+                got.len() >= k && got.len() < reference.len(),
+                "workers {workers}: {}",
+                got.len()
+            );
+            let mut last = None;
+            for read in &got {
+                let at = reference.iter().position(|r| r == read);
+                assert!(at.is_some(), "workers {workers}: a returned read is not whole");
+                assert!(at > last, "workers {workers}: reads out of index order");
+                last = at;
+            }
+        }
     }
 }

@@ -1,19 +1,13 @@
 //! Dense state-vector simulation.
 //!
-//! Exact simulation of the gate set in [`crate::gates`]. Registers at or
-//! above `PAR_THRESHOLD` take the chunked `rayon` path, which the
-//! vendored stand-in runs sequentially. Practical up to ~24 qubits (16M
-//! amplitudes); larger QAOA instances use the analytic p=1 evaluator
-//! instead ([`crate::analytic`]).
+//! Exact simulation of the gate set in [`crate::gates`]. Practical up to
+//! ~24 qubits (16M amplitudes); larger QAOA instances use the analytic
+//! p=1 evaluator instead ([`crate::analytic`]).
 
 use crate::complex::Complex;
 use crate::gates::{Circuit, Gate};
 use rand::rngs::StdRng;
 use rand::Rng;
-use rayon::prelude::*;
-
-/// Registers at or above this size take the chunked `rayon` path.
-const PAR_THRESHOLD: usize = 1 << 14;
 
 /// A pure quantum state over `n` qubits (amplitude `i` ↔ basis state
 /// with bit `q` of `i` giving qubit `q`).
@@ -153,58 +147,28 @@ impl StateVector {
     }
 
     fn single_qubit(&mut self, q: usize, m: [[Complex; 2]; 2]) {
+        // Indices sharing the bits above q form contiguous blocks of
+        // 2·2^q amplitudes; each pairs its low half (bit q = 0) with its
+        // high half (bit q = 1).
         let mask = 1usize << q;
-        let half = self.amps.len() / 2;
-        let update = |amps: &mut [Complex], j: usize| {
-            // j enumerates indices with bit q = 0.
-            let low = ((j & !(mask - 1)) << 1) | (j & (mask - 1));
-            let high = low | mask;
-            let a0 = amps[low];
-            let a1 = amps[high];
-            amps[low] = m[0][0] * a0 + m[0][1] * a1;
-            amps[high] = m[1][0] * a0 + m[1][1] * a1;
-        };
-        if self.amps.len() >= PAR_THRESHOLD {
-            // Each j touches a disjoint (low, high) pair, so parallel
-            // chunks over j are race-free; use unsafe-free split via
-            // chunk ownership of the whole array per task is not
-            // possible — instead process pair-blocks: indices sharing
-            // the high bits form contiguous blocks of size 2·mask.
-            let block = mask << 1;
-            let amps = &mut self.amps;
-            amps.par_chunks_mut(block).for_each(|chunk| {
-                for off in 0..mask.min(chunk.len()) {
-                    let a0 = chunk[off];
-                    let a1 = chunk[off + mask];
-                    chunk[off] = m[0][0] * a0 + m[0][1] * a1;
-                    chunk[off + mask] = m[1][0] * a0 + m[1][1] * a1;
-                }
-            });
-        } else {
-            for j in 0..half {
-                update(&mut self.amps, j);
+        for block in self.amps.chunks_mut(mask << 1) {
+            let (low, high) = block.split_at_mut(mask);
+            for (a0, a1) in low.iter_mut().zip(high) {
+                (*a0, *a1) = (m[0][0] * *a0 + m[0][1] * *a1, m[1][0] * *a0 + m[1][1] * *a1);
             }
         }
     }
 
-    fn phase(&mut self, f: impl Fn(usize) -> Complex + Sync) {
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_iter_mut().enumerate().for_each(|(i, a)| *a = *a * f(i));
-        } else {
-            for (i, a) in self.amps.iter_mut().enumerate() {
-                *a = *a * f(i);
-            }
+    fn phase(&mut self, f: impl Fn(usize) -> Complex) {
+        for (i, a) in self.amps.iter_mut().enumerate() {
+            *a = *a * f(i);
         }
     }
 
     /// Expectation of a diagonal observable `E(i)` (e.g. a QUBO/Ising
     /// energy over basis states).
-    pub fn expectation_diagonal(&self, energy: impl Fn(u64) -> f64 + Sync) -> f64 {
-        if self.amps.len() >= PAR_THRESHOLD {
-            self.amps.par_iter().enumerate().map(|(i, a)| a.norm_sqr() * energy(i as u64)).sum()
-        } else {
-            self.amps.iter().enumerate().map(|(i, a)| a.norm_sqr() * energy(i as u64)).sum()
-        }
+    pub fn expectation_diagonal(&self, energy: impl Fn(u64) -> f64) -> f64 {
+        self.amps.iter().enumerate().map(|(i, a)| a.norm_sqr() * energy(i as u64)).sum()
     }
 
     /// Sample one basis state from |amp|².
@@ -347,9 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_serial() {
-        // 15 qubits crosses PAR_THRESHOLD; compare against 10-qubit
-        // construction embedded in the larger register.
+    fn large_register_matches_two_qubit_register() {
+        // A 15-qubit register (gates on its top qubits, the longest
+        // pair strides) against the same gates on 2 qubits.
         let mut big = StateVector::zero(15);
         big.apply(Gate::H(14));
         big.apply(Gate::Rx(13, 0.7));

@@ -263,9 +263,9 @@ impl<'p> ExecutionPlan<'p> {
         let mut tally = Tally::default();
         let mut best: Option<(SolutionQuality, u64, usize, Vec<bool>)> = None;
         for a in assignments {
-            let quality = oracle.classify(self.program, &a);
-            tally.add(quality);
             let ev = self.program.evaluate(&a);
+            let quality = ev.classify(max_soft);
+            tally.add(quality);
             if best
                 .as_ref()
                 .is_none_or(|(q, w, _, _)| (quality, ev.soft_weight_satisfied) > (*q, *w))
@@ -326,5 +326,90 @@ impl<'p> ExecutionPlan<'p> {
         seed: u64,
     ) -> Vec<Result<ExecReport, ExecError>> {
         backends.iter().map(|b| self.run(*b, seed)).collect()
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+
+    /// A backend that returns a fixed candidate list over the program
+    /// variables.
+    struct Fixed(Vec<Vec<bool>>);
+
+    impl Backend for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+
+        fn run(
+            &self,
+            _: &Prepared<'_>,
+            _: u64,
+            _: &mut RunCtx,
+        ) -> Result<(Candidates, BackendMetrics), ExecError> {
+            let metrics = BackendMetrics::Classical { nodes: 0, propagations: 0, truncated: false };
+            Ok((Candidates::Program(self.0.clone()), metrics))
+        }
+    }
+
+    /// Minimum vertex cover of the paper's Fig. 2 graph.
+    fn vertex_cover() -> Program {
+        let mut p = Program::new();
+        let vs = p.new_vars("v", 5).unwrap();
+        for (u, w) in [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)] {
+            p.nck(vec![vs[u], vs[w]], [1, 2]).unwrap();
+        }
+        for &v in &vs {
+            p.nck_soft(vec![v], [0]).unwrap();
+        }
+        p
+    }
+
+    #[test]
+    fn report_matches_classifying_every_candidate() {
+        let p = vertex_cover();
+        let plan = ExecutionPlan::new(&p);
+        // All 32 assignments in a scrambled order, then the same list
+        // with every assignment repeated one to three times, the
+        // repeats interleaved.
+        let distinct: Vec<Vec<bool>> = (0..32u32)
+            .map(|b| (0..5).map(|i| ((b * 7 + 3) % 32) >> i & 1 == 1).collect())
+            .collect();
+        let mut repeated = Vec::new();
+        for round in 0..3 {
+            repeated.extend(
+                distinct.iter().enumerate().filter(|(k, _)| k % 3 >= round).map(|(_, a)| a.clone()),
+            );
+        }
+        let once = plan.run(&Fixed(distinct.clone()), 0).unwrap();
+        let many = plan.run(&Fixed(repeated.clone()), 0).unwrap();
+        // Reference: classify every candidate; the first strictly
+        // better one is the best.
+        let oracle = plan.oracle();
+        let mut tally = Tally::default();
+        let mut best: Option<(SolutionQuality, u64, &Vec<bool>)> = None;
+        for a in &repeated {
+            let quality = oracle.classify(&p, a);
+            tally.add(quality);
+            let weight = p.evaluate(a).soft_weight_satisfied;
+            if best.is_none_or(|(q, w, _)| (quality, weight) > (q, w)) {
+                best = Some((quality, weight, a));
+            }
+        }
+        let (quality, weight, assignment) = best.unwrap();
+        assert_eq!(many.tally, tally);
+        assert_eq!(many.tally.total(), repeated.len());
+        assert_eq!(once.tally.total(), distinct.len());
+        assert_eq!(many.timings.candidates, repeated.len());
+        assert_eq!(once.timings.candidates, distinct.len());
+        for report in [&once, &many] {
+            assert_eq!(&report.assignment, assignment);
+            assert_eq!(report.quality, quality);
+            assert_eq!(report.soft_weight, weight);
+            assert_eq!(report.soft_satisfied, once.soft_satisfied);
+            assert_eq!(report.max_soft, once.max_soft);
+        }
     }
 }
