@@ -15,11 +15,23 @@
 //! discouraged. Repeated rip-up-and-reroute sweeps (with the penalty
 //! rising each sweep) drive the embedding overlap-free; several seeded
 //! restarts are attempted before giving up.
+//!
+//! Each search runs only as far as its answer depends on. A new chain's
+//! root minimizes its own cost plus the path cost to every placed
+//! neighbour chain; the per-neighbour searches advance in lockstep and
+//! stop once the best qubit settled in all of them is cheaper than any
+//! unsettled qubit could be. Each connecting path stops at the first
+//! qubit next to the neighbour chain that its search settles. Both pick
+//! exactly what full-graph searches followed by a scan of every qubit
+//! would, so embeddings do not depend on where a search stopped. Qubit
+//! costs and search buffers are kept across the routes of one try.
 
+use crate::sampler::splitmix64;
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A minor embedding: one chain of physical qubits per logical
@@ -122,7 +134,7 @@ pub fn find_embedding(
     tries: usize,
 ) -> Option<Embedding> {
     for t in 0..tries {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
+        let mut rng = StdRng::seed_from_u64(try_seed(seed, t));
         if let Some(e) = try_embed(logical_adj, topo, &mut rng) {
             debug_assert!(e.is_valid(logical_adj, topo));
             return Some(e);
@@ -130,6 +142,22 @@ pub fn find_embedding(
     }
     None
 }
+
+/// The seed of restart `t`. Try 0 keeps the caller's seed; later tries
+/// are finalized through SplitMix64, so try `t` of seed `s` repeats
+/// neither try 0 of a related seed such as `s + t` (the old
+/// `seed.wrapping_add(t)` did exactly that) nor a rip-up attempt of the
+/// annealer backend, whose seeds derive the same way with the φ stride.
+fn try_seed(seed: u64, t: usize) -> u64 {
+    if t == 0 {
+        return seed;
+    }
+    splitmix64(splitmix64(seed) ^ (t as u64).wrapping_mul(0xa076_1d64_78bd_642f))
+}
+
+/// The smallest per-route jitter factor, so the smallest cost of any
+/// qubit (its overlap weight is at least 1).
+const MIN_JITTER: u64 = 16;
 
 /// Cost of stepping onto a qubit used by `usage` other chains, with an
 /// overlap penalty `base` that escalates across sweeps.
@@ -174,12 +202,13 @@ fn try_embed(logical_adj: &[Vec<usize>], topo: &Topology, rng: &mut StdRng) -> O
     }
     let mut chains: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut usage: Vec<u32> = vec![0; nq];
+    let mut router = Router::new(logical_adj, topo);
     let mut base = 4u64;
-    for _sweep in 0..MAX_SWEEPS {
+    for sweep in 0..MAX_SWEEPS {
         // Early sweeps re-route everything; once the layout has mostly
         // settled, only rip chains that still share qubits — ripping
         // clean chains just reshuffles the conflict.
-        let targets: Vec<usize> = if _sweep < 3 {
+        let targets: Vec<usize> = if sweep < 3 {
             order.clone()
         } else {
             let mut t: Vec<usize> = order
@@ -198,14 +227,7 @@ fn try_embed(logical_adj: &[Vec<usize>], topo: &Topology, rng: &mut StdRng) -> O
                 usage[q] -= 1;
             }
             chains[v].clear();
-            route_chain(v, logical_adj, topo, &mut chains, &mut usage, base, rng)?;
-        }
-        if std::env::var_os("NCK_EMBED_DEBUG").is_some() {
-            let overlapped = usage.iter().filter(|&&u| u > 1).count();
-            let total: usize = chains.iter().map(Vec::len).sum();
-            eprintln!(
-                "sweep {_sweep}: base {base}, {overlapped} overlapped qubits, {total} chain qubits"
-            );
+            router.route(v, &mut chains, &mut usage, base, rng)?;
         }
         if usage.iter().all(|&u| u <= 1) {
             // Valid embedding found. Polish: a few more full re-route
@@ -222,9 +244,7 @@ fn try_embed(logical_adj: &[Vec<usize>], topo: &Topology, rng: &mut StdRng) -> O
                         usage[q] -= 1;
                     }
                     chains[v].clear();
-                    if route_chain(v, logical_adj, topo, &mut chains, &mut usage, base, rng)
-                        .is_none()
-                    {
+                    if router.route(v, &mut chains, &mut usage, base, rng).is_none() {
                         break 'polish;
                     }
                 }
@@ -320,168 +340,372 @@ fn trim_chains(logical_adj: &[Vec<usize>], topo: &Topology, chains: &mut [Vec<us
     }
 }
 
-/// (Re)build the chain of `v`, allowing penalized overlap.
-fn route_chain(
-    v: usize,
-    logical_adj: &[Vec<usize>],
-    topo: &Topology,
-    chains: &mut [Vec<usize>],
-    usage: &mut [u32],
-    base: u64,
-    rng: &mut StdRng,
-) -> Option<()> {
-    let nq = topo.num_qubits();
-    let placed: Vec<usize> =
-        logical_adj[v].iter().copied().filter(|&u| !chains[u].is_empty()).collect();
-    if placed.is_empty() {
-        // Seed at a cheap qubit with usable neighborhood.
-        let start = rng.random_range(0..nq);
-        let q = (0..nq).map(|i| (start + i) % nq).min_by_key(|&q| {
-            (
-                qubit_weight(usage[q], base),
-                std::cmp::Reverse(topo.neighbors(q).iter().filter(|&&x| usage[x] == 0).count()),
-            )
-        })?;
-        usage[q] += 1;
-        chains[v].push(q);
-        return Some(());
+/// A Dijkstra search over qubits whose node weights are the route's
+/// cost array, with buffers reused from search to search. Sources sit
+/// at distance 0 and every step costs at least [`MIN_JITTER`], so heap
+/// keys `(Reverse(d), q)` are distinct and pop in the same order
+/// however far the search runs: a search stopped early has settled
+/// exactly a prefix of the full search, with the same `dist` and
+/// `parent` for every settled qubit.
+struct Search {
+    dist: Vec<u64>,
+    /// Each reached qubit's predecessor; empty in a search that does
+    /// not record paths.
+    parent: Vec<u32>,
+    heap: BinaryHeap<(Reverse<u64>, usize)>,
+    /// Qubits settled so far, in order. With the queued ones, these are
+    /// all qubits whose `dist` is finite.
+    settled: Vec<u32>,
+}
+
+impl Search {
+    fn new(nq: usize, record_paths: bool) -> Self {
+        assert!(u32::try_from(nq).is_ok(), "qubit indices are stored as u32");
+        Search {
+            dist: vec![u64::MAX; nq],
+            parent: if record_paths { vec![u32::MAX; nq] } else { Vec::new() },
+            heap: BinaryHeap::new(),
+            settled: Vec::new(),
+        }
     }
-    // Weighted Dijkstra from each placed neighbor's chain. Per-call
-    // random jitter on qubit costs spreads paths across equivalent
-    // corridors — with deterministic tie-breaking, every chain funnels
-    // through the same routes and dense problems never untangle.
-    let jitter: Vec<u16> = (0..nq).map(|_| 16 + rng.random_range(0..8) as u16).collect();
-    let fields: Vec<(Vec<u64>, Vec<usize>)> = placed
-        .iter()
-        .map(|&u| dijkstra_from_chain(&chains[u], usage, topo, base, &jitter))
-        .collect();
-    // Root: qubit minimizing the total path cost to all neighbor
-    // chains, with random tie-breaking so symmetric layouts do not
-    // deterministically collide.
-    let start = rng.random_range(0..nq);
-    let mut best: Option<(u64, usize)> = None;
-    for i in 0..nq {
-        let q = (start + i) % nq;
-        // The root's own occupancy cost, otherwise a fresh chain would
-        // happily sit on top of an existing one (distance 0) forever.
-        let mut sum = qubit_weight(usage[q], base).saturating_mul(jitter[q] as u64);
-        let mut ok = true;
-        for (dist, _) in &fields {
-            if dist[q] == u64::MAX {
-                ok = false;
-                break;
+
+    /// Forget the previous search and start one from `sources`.
+    fn start(&mut self, sources: &[usize]) {
+        for &q in &self.settled {
+            self.dist[q as usize] = u64::MAX;
+        }
+        for &(_, q) in &self.heap {
+            self.dist[q] = u64::MAX;
+        }
+        self.settled.clear();
+        self.heap.clear();
+        for &q in sources {
+            self.dist[q] = 0;
+            self.heap.push((Reverse(0), q));
+        }
+    }
+
+    /// The smallest key still queued: a lower bound on the distance of
+    /// every qubit not yet settled.
+    fn min_key(&self) -> Option<u64> {
+        self.heap.peek().map(|&(Reverse(d), _)| d)
+    }
+
+    /// A lower bound on the distance of qubit `q`, exact once settled:
+    /// the smaller of its tentative distance and the smallest queued
+    /// key (`u64::MAX` once the search is exhausted).
+    fn lower_bound(&self, q: usize) -> u64 {
+        self.dist[q].min(self.min_key().unwrap_or(u64::MAX))
+    }
+
+    /// Pop one heap entry. If it settles a qubit, relax its neighbours
+    /// and return it; a stale entry returns `None`.
+    fn step(&mut self, topo: &Topology, cost: &[u64]) -> Option<usize> {
+        let (Reverse(d), q) = self.heap.pop()?;
+        if d > self.dist[q] {
+            return None;
+        }
+        self.settled.push(q as u32);
+        for &x in topo.neighbors(q) {
+            let nd = d.saturating_add(cost[x]);
+            if nd < self.dist[x] {
+                self.dist[x] = nd;
+                if let Some(p) = self.parent.get_mut(x) {
+                    *p = q as u32;
+                }
+                self.heap.push((Reverse(nd), x));
             }
-            sum = sum.saturating_add(dist[q]);
         }
-        if ok && best.is_none_or(|(s, _)| sum < s) {
-            best = Some((sum, q));
+        Some(q)
+    }
+}
+
+/// Scratch state for routing chains: allocated once per
+/// [`try_embed`] and reused by every [`Router::route`] call.
+struct Router<'a> {
+    logical_adj: &'a [Vec<usize>],
+    topo: &'a Topology,
+    /// Per-route random jitter on qubit costs, in
+    /// `MIN_JITTER..MIN_JITTER + 8`.
+    jitter: Vec<u64>,
+    /// `qubit_weight(usage[q], base) · jitter[q]`, kept in step with
+    /// `usage` for the duration of one route.
+    cost: Vec<u64>,
+    /// One search per placed neighbour of the variable being routed.
+    fields: Vec<Search>,
+    /// In how many fields each qubit is settled.
+    settled_in: Vec<usize>,
+    /// Qubits already visited by the current [`Router::unsettled_bound`]
+    /// scan: those equal to `scan`.
+    scanned: Vec<u64>,
+    scan: u64,
+    /// The search from the growing chain towards one neighbour chain.
+    connect: Search,
+    /// Membership of the chain being routed.
+    in_chain: Vec<bool>,
+    /// Qubits outside that chain and next to the neighbour chain being
+    /// connected: the candidate ends of the connecting path.
+    near: Vec<bool>,
+}
+
+impl<'a> Router<'a> {
+    fn new(logical_adj: &'a [Vec<usize>], topo: &'a Topology) -> Self {
+        let nq = topo.num_qubits();
+        Router {
+            logical_adj,
+            topo,
+            jitter: vec![0; nq],
+            cost: vec![0; nq],
+            fields: Vec::new(),
+            settled_in: vec![0; nq],
+            scanned: vec![0; nq],
+            scan: 0,
+            connect: Search::new(nq, true),
+            in_chain: vec![false; nq],
+            near: vec![false; nq],
         }
     }
-    let (_, root) = best?;
-    let mut in_chain = vec![false; nq];
-    in_chain[root] = true;
-    usage[root] += 1;
-    chains[v].push(root);
-    // Connect the root to each neighbor chain one at a time, nearest
-    // first, rerunning Dijkstra from the *whole grown chain* so later
-    // paths reuse the trunk built by earlier ones — without this,
-    // high-degree variables get one radial path per neighbor and
-    // chains balloon. The far half of each new path is donated to the
-    // neighbor's chain (the CMR splitting trick).
-    let mut targets: Vec<usize> = (0..placed.len()).collect();
-    targets.sort_by_key(|&i| fields[i].0[root]);
-    for ti in targets {
-        let u = placed[ti];
-        // Already adjacent?
-        let adjacent =
-            chains[v].iter().any(|&a| topo.neighbors(a).iter().any(|&b| chains[u].contains(&b)));
-        if adjacent {
-            continue;
+
+    /// (Re)build the chain of `v`, allowing penalized overlap.
+    fn route(
+        &mut self,
+        v: usize,
+        chains: &mut [Vec<usize>],
+        usage: &mut [u32],
+        base: u64,
+        rng: &mut StdRng,
+    ) -> Option<()> {
+        let routed = self.route_inner(v, chains, usage, base, rng);
+        for &q in &chains[v] {
+            self.in_chain[q] = false;
         }
-        let (dist, parent) = dijkstra_from_chain(&chains[v], usage, topo, base, &jitter);
-        // If the chains currently overlap (possible mid-optimization,
-        // before the penalty sweeps separate them), skip routing this
-        // edge — a later sweep re-routes both chains.
-        if chains[u].iter().any(|&cu| dist[cu] == 0) {
-            continue;
+        routed
+    }
+
+    fn route_inner(
+        &mut self,
+        v: usize,
+        chains: &mut [Vec<usize>],
+        usage: &mut [u32],
+        base: u64,
+        rng: &mut StdRng,
+    ) -> Option<()> {
+        let topo = self.topo;
+        let nq = topo.num_qubits();
+        let placed: Vec<usize> =
+            self.logical_adj[v].iter().copied().filter(|&u| !chains[u].is_empty()).collect();
+        if placed.is_empty() {
+            // Seed at a cheap qubit with usable neighborhood.
+            let start = rng.random_range(0..nq);
+            let q = (0..nq).map(|i| (start + i) % nq).min_by_key(|&q| {
+                (
+                    qubit_weight(usage[q], base),
+                    Reverse(topo.neighbors(q).iter().filter(|&&x| usage[x] == 0).count()),
+                )
+            })?;
+            usage[q] += 1;
+            chains[v].push(q);
+            return Some(());
         }
-        // Cheapest qubit adjacent to chain(u) (not inside chain(v)).
-        let mut best: Option<(u64, usize)> = None;
-        for &cu in &chains[u] {
-            for &q in topo.neighbors(cu) {
-                if dist[q] != u64::MAX && !in_chain[q] {
-                    let d = dist[q];
-                    if best.is_none_or(|(bd, _)| d < bd) {
-                        best = Some((d, q));
+        // Per-call random jitter on qubit costs spreads paths across
+        // equivalent corridors — with deterministic tie-breaking, every
+        // chain funnels through the same routes and dense problems
+        // never untangle.
+        for ((jitter, cost), &used) in self.jitter.iter_mut().zip(&mut self.cost).zip(&*usage) {
+            *jitter = MIN_JITTER + rng.random_range(0..8) as u64;
+            *cost = qubit_weight(used, base).saturating_mul(*jitter);
+        }
+        // Root: qubit minimizing its own occupancy cost (otherwise a
+        // fresh chain would happily sit on top of an existing one at
+        // distance 0 forever) plus the path cost to every neighbour
+        // chain, ties broken by position after a random start so
+        // symmetric layouts do not deterministically collide.
+        let start = rng.random_range(0..nq);
+        let root = self.root(&placed, chains, start)?;
+        let k = placed.len();
+        let mut targets: Vec<usize> = (0..k).collect();
+        targets.sort_by_key(|&i| self.fields[i].dist[root]);
+        self.occupy(root, usage, base);
+        self.in_chain[root] = true;
+        chains[v].push(root);
+        // Connect the root to each neighbor chain one at a time, nearest
+        // first, searching from the *whole grown chain* so later paths
+        // reuse the trunk built by earlier ones — without this,
+        // high-degree variables get one radial path per neighbor and
+        // chains balloon. The far half of each new path is donated to
+        // the neighbor's chain (the CMR splitting trick).
+        for ti in targets {
+            let u = placed[ti];
+            // Already adjacent?
+            let adjacent = chains[v]
+                .iter()
+                .any(|&a| topo.neighbors(a).iter().any(|&b| chains[u].contains(&b)));
+            // If the chains currently overlap (possible mid-optimization,
+            // before the penalty sweeps separate them), skip routing this
+            // edge — a later sweep re-routes both chains.
+            if adjacent || chains[u].iter().any(|&cu| self.in_chain[cu]) {
+                continue;
+            }
+            // Genuinely unreachable from chain(v): abandon this try.
+            let target = self.nearest_next_to(&chains[u], &chains[v])?;
+            // Walk back from target to chain(v), collecting the new path
+            // (ordered from the chain(v) side to the target side).
+            let mut path = vec![target];
+            let mut cur = self.connect.parent[target] as usize;
+            while !self.in_chain[cur] {
+                path.push(cur);
+                cur = self.connect.parent[cur] as usize;
+            }
+            path.reverse();
+            let split = path.len().div_ceil(2);
+            for (i, &q) in path.iter().enumerate() {
+                if i < split {
+                    self.occupy(q, usage, base);
+                    self.in_chain[q] = true;
+                    chains[v].push(q);
+                } else if !chains[u].contains(&q) {
+                    self.occupy(q, usage, base);
+                    chains[u].push(q);
+                }
+            }
+        }
+        Some(())
+    }
+
+    /// Take one more use of qubit `q`, keeping its cost in step.
+    fn occupy(&mut self, q: usize, usage: &mut [u32], base: u64) {
+        usage[q] += 1;
+        self.cost[q] = qubit_weight(usage[q], base).saturating_mul(self.jitter[q]);
+    }
+
+    /// The qubit minimizing `(cost[q] + Σ dist to each placed chain,
+    /// position after start)` — what a full search from every placed
+    /// chain followed by a scan of all qubits from `start` would pick —
+    /// or `None` if no qubit reaches every placed chain.
+    ///
+    /// The fields advance in lockstep, always popping from the one whose
+    /// smallest queued key is lowest. A qubit settled in every field
+    /// has its exact total. Any other qubit's total is at least
+    /// [`Router::unsettled_bound`], which is never below the lowest
+    /// queued key plus [`MIN_JITTER`]; that cheap bound is checked on
+    /// every pop, the full one at geometrically spaced pops. Once the
+    /// best exact total is strictly below a bound, no other qubit can
+    /// beat or tie it. The fields keep exact `dist` for every qubit they
+    /// settled, the root included.
+    fn root(&mut self, placed: &[usize], chains: &[Vec<usize>], start: usize) -> Option<usize> {
+        let nq = self.topo.num_qubits();
+        let k = placed.len();
+        while self.fields.len() < k {
+            self.fields.push(Search::new(nq, false));
+        }
+        for (field, &u) in self.fields.iter_mut().zip(placed) {
+            field.start(&chains[u]);
+        }
+        let mut best: Option<(u64, usize, usize)> = None;
+        let (mut pops, mut next_scan) = (0usize, 0usize);
+        while let Some((key, f)) =
+            self.fields[..k].iter().enumerate().filter_map(|(f, s)| Some((s.min_key()?, f))).min()
+        {
+            if let Some((sum, _, _)) = best {
+                if sum < key.saturating_add(MIN_JITTER) {
+                    break;
+                }
+                if pops >= next_scan {
+                    next_scan = pops + pops / 8 + 8;
+                    if sum < self.unsettled_bound(k) {
+                        break;
                     }
                 }
             }
-        }
-        let Some((_, target)) = best else {
-            // Genuinely unreachable from chain(v): abandon this try.
-            return None;
-        };
-        // Walk back from target to chain(v), collecting the new path
-        // (ordered from the chain(v) side to the target side).
-        let mut path = vec![target];
-        let mut cur = target;
-        while dist[cur] != 0 {
-            cur = parent[cur];
-            if dist[cur] != 0 {
-                path.push(cur);
-            }
-        }
-        path.reverse();
-        let split = path.len().div_ceil(2);
-        for (i, &q) in path.iter().enumerate() {
-            if i < split {
-                if !in_chain[q] {
-                    in_chain[q] = true;
-                    usage[q] += 1;
-                    chains[v].push(q);
+            pops += 1;
+            let Some(q) = self.fields[f].step(self.topo, &self.cost) else {
+                continue;
+            };
+            self.settled_in[q] += 1;
+            if self.settled_in[q] == k {
+                let sum = self.fields[..k]
+                    .iter()
+                    .fold(self.cost[q], |s, field| s.saturating_add(field.dist[q]));
+                let rank = (q + nq - start) % nq;
+                if best.is_none_or(|(s, r, _)| (sum, rank) < (s, r)) {
+                    best = Some((sum, rank, q));
                 }
-            } else if !chains[u].contains(&q) {
-                usage[q] += 1;
-                chains[u].push(q);
             }
         }
+        for field in &self.fields[..k] {
+            for &q in &field.settled {
+                self.settled_in[q as usize] = 0;
+            }
+        }
+        best.map(|(_, _, q)| q)
     }
-    Some(())
-}
 
-/// Dijkstra over qubits with node weights `qubit_weight(usage)`;
-/// sources are the chain's qubits at distance 0. Returns (dist,
-/// parent).
-fn dijkstra_from_chain(
-    chain: &[usize],
-    usage: &[u32],
-    topo: &Topology,
-    base: u64,
-    jitter: &[u16],
-) -> (Vec<u64>, Vec<usize>) {
-    let nq = topo.num_qubits();
-    let mut dist = vec![u64::MAX; nq];
-    let mut parent = vec![usize::MAX; nq];
-    let mut heap: BinaryHeap<(std::cmp::Reverse<u64>, usize)> = BinaryHeap::new();
-    for &q in chain {
-        dist[q] = 0;
-        heap.push((std::cmp::Reverse(0), q));
-    }
-    while let Some((std::cmp::Reverse(d), q)) = heap.pop() {
-        if d > dist[q] {
-            continue;
-        }
-        for &x in topo.neighbors(q) {
-            let nd =
-                d.saturating_add(qubit_weight(usage[x], base).saturating_mul(jitter[x] as u64));
-            if nd < dist[x] {
-                dist[x] = nd;
-                parent[x] = q;
-                heap.push((std::cmp::Reverse(nd), x));
+    /// A lower bound on the total of every qubit not yet settled in all
+    /// of the first `k` fields: its own cost is at least [`MIN_JITTER`],
+    /// and its distance in each field at least that field's
+    /// [`Search::lower_bound`]. A qubit settled in no field has every
+    /// distance bounded by the queued keys alone; the others are
+    /// scanned.
+    fn unsettled_bound(&mut self, k: usize) -> u64 {
+        let fields = &self.fields[..k];
+        let total = |q: usize| {
+            fields.iter().fold(MIN_JITTER, |s, field| s.saturating_add(field.lower_bound(q)))
+        };
+        let mut bound = fields
+            .iter()
+            .fold(MIN_JITTER, |s, field| s.saturating_add(field.min_key().unwrap_or(u64::MAX)));
+        self.scan += 1;
+        for field in fields {
+            for &q in &field.settled {
+                let q = q as usize;
+                if self.scanned[q] != self.scan && self.settled_in[q] < k {
+                    self.scanned[q] = self.scan;
+                    bound = bound.min(total(q));
+                }
             }
         }
+        bound
     }
-    (dist, parent)
+
+    /// The cheapest qubit next to `neighbor` and outside `chain`, first
+    /// in the order of `neighbor`'s qubits and their adjacency lists
+    /// among equals — what a full search from `chain` followed by that
+    /// scan would pick — or `None` if none is reachable.
+    ///
+    /// The search stops at the first candidate it settles, at distance
+    /// `d`. Every qubit closer than `d` is settled by then, so every
+    /// qubit at exactly `d` already holds its exact distance and final
+    /// parent, and every other candidate holds more: the scan below
+    /// sees the same minimum and the same first qubit at it.
+    fn nearest_next_to(&mut self, neighbor: &[usize], chain: &[usize]) -> Option<usize> {
+        let topo = self.topo;
+        for &cu in neighbor {
+            for &q in topo.neighbors(cu) {
+                self.near[q] = !self.in_chain[q];
+            }
+        }
+        self.connect.start(chain);
+        while self.connect.min_key().is_some() {
+            if self.connect.step(topo, &self.cost).is_some_and(|q| self.near[q]) {
+                break;
+            }
+        }
+        let dist = &self.connect.dist;
+        let mut best: Option<(u64, usize)> = None;
+        for &cu in neighbor {
+            for &q in topo.neighbors(cu) {
+                if self.near[q] && dist[q] != u64::MAX && best.is_none_or(|(bd, _)| dist[q] < bd) {
+                    best = Some((dist[q], q));
+                }
+            }
+        }
+        for &cu in neighbor {
+            for &q in topo.neighbors(cu) {
+                self.near[q] = false;
+            }
+        }
+        best.map(|(_, q)| q)
+    }
 }
 
 #[cfg(test)]
@@ -499,6 +723,22 @@ mod tests {
 
     fn complete_adj(n: usize) -> Vec<Vec<usize>> {
         (0..n).map(|u| (0..n).filter(|&v| v != u).collect()).collect()
+    }
+
+    #[test]
+    fn tries_never_alias_try_zero_of_a_related_seed() {
+        const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
+        // The annealer backend's rip-up attempt `k` (its try 0).
+        let attempt = |s: u64, k: u64| splitmix64(splitmix64(s) ^ k.wrapping_mul(PHI));
+        for s in (0..64u64).chain([u64::MAX, PHI, 1 << 63]) {
+            assert_eq!(try_seed(s, 0), s, "try 0 must keep the caller's seed");
+            for t in 1..16usize {
+                let k = t as u64;
+                for related in [s.wrapping_add(k), s ^ k.wrapping_mul(PHI), attempt(s, k)] {
+                    assert_ne!(try_seed(s, t), try_seed(related, 0), "seed {s} try {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! embedding cache and a typed retry/fallback policy.
 
 use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
+use crate::budget::attempt_seed;
 use crate::durable::{decode_anneal_progress, encode_anneal_progress};
 use crate::error::{ExecError, FaultKind};
 use crate::fault::FaultInjection;
@@ -86,15 +87,17 @@ impl AnnealerBackend {
         }
         let adj = qubo.adjacency();
         let mut found = None;
-        for attempt in 0..=u64::from(self.embed_reseed_tries) {
+        for attempt in 0..=self.embed_reseed_tries {
             // Injected failure: discard this attempt as if the
             // heuristic embedder had failed, driving the rip-up retry
             // (and eventually the clique fallback) deterministically.
-            if attempt < u64::from(self.faults.embed_failures) {
+            if attempt < self.faults.embed_failures {
                 ctx.stages.embed_retries += 1;
                 continue;
             }
-            let rip_up_seed = seed ^ attempt.wrapping_mul(0x9e3779b97f4a7c15);
+            // Attempt 0 keeps the caller's seed; later attempts derive
+            // through SplitMix64 like the supervisor's retries.
+            let rip_up_seed = attempt_seed(seed, attempt);
             if let Some(e) =
                 find_embedding(&adj, &self.device.topology, rip_up_seed, self.device.embed_tries)
             {

@@ -25,8 +25,8 @@ fn splitmix64(mut z: u64) -> u64 {
 /// plain run bit-for-bit); every later attempt is finalized through
 /// SplitMix64, so attempt `k` of seed `s` never aliases attempt 0 of a
 /// related seed such as `s ^ k·φ` (the old linear mix did exactly
-/// that). Both the supervisor's attempt seeds and the backoff jitter
-/// derive through here.
+/// that). The supervisor's attempt seeds, the backoff jitter and the
+/// annealer backend's rip-up attempts all derive through here.
 pub(crate) fn attempt_seed(seed: u64, k: u32) -> u64 {
     if k == 0 {
         return seed;
