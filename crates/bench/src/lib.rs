@@ -3,12 +3,13 @@
 //! Shared harness code for regenerating every table and figure of the
 //! paper's evaluation. Each figure has a binary (`table1`, `fig7`,
 //! `fig8`, `fig9`, `fig10`, `fig11`, `fig12`, `timing`, `qubo_compare`)
-//! that prints the corresponding rows/series.
+//! that prints the corresponding rows/series, and `ablations` prints
+//! the design-choice ablations.
 
 #![warn(missing_docs)]
 
 use nck_classical::OptimalityOracle;
-use nck_core::{Program, SolutionQuality};
+use nck_core::Program;
 use nck_problems::Graph;
 
 /// The paper's *vertex scaling* study (§VII): chains of 3-cliques from
@@ -24,26 +25,6 @@ pub fn vertex_scaling_graphs() -> Vec<Graph> {
 /// (four cliques) up to 63 edges.
 pub fn edge_scaling_graphs() -> Vec<Graph> {
     [18, 24, 30, 37, 42, 48, 55, 63].into_iter().map(Graph::edge_scaling).collect()
-}
-
-/// Classify a batch of program-variable samples and return
-/// `(optimal, suboptimal, incorrect)` counts plus whether any sample
-/// was optimal (the paper's per-job annealer success criterion).
-pub fn classify_batch(
-    program: &Program,
-    oracle: &OptimalityOracle,
-    samples: impl IntoIterator<Item = Vec<bool>>,
-) -> (usize, usize, usize, bool) {
-    let mut t = (0usize, 0usize, 0usize);
-    for s in samples {
-        match oracle.classify(program, &s) {
-            SolutionQuality::Optimal => t.0 += 1,
-            SolutionQuality::Suboptimal => t.1 += 1,
-            SolutionQuality::Incorrect => t.2 += 1,
-        }
-    }
-    let any_optimal = t.0 > 0;
-    (t.0, t.1, t.2, any_optimal)
 }
 
 /// Render an aligned text table to stdout.
@@ -346,18 +327,5 @@ mod tests {
         let (min, q1, med, q3, max) = box_stats(vec![5.0, 1.0, 3.0, 2.0, 4.0]);
         assert_eq!((min, med, max), (1.0, 3.0, 5.0));
         assert!(q1 <= med && med <= q3);
-    }
-
-    #[test]
-    fn classify_batch_counts() {
-        let mut p = Program::new();
-        let a = p.new_var("a").unwrap();
-        p.nck(vec![a], [1]).unwrap();
-        p.nck_soft(vec![a], [1]).unwrap();
-        let oracle = OptimalityOracle::build(&p);
-        let (opt, sub, inc, any) =
-            classify_batch(&p, &oracle, vec![vec![true], vec![false], vec![true]]);
-        assert_eq!((opt, sub, inc), (2, 0, 1));
-        assert!(any);
     }
 }

@@ -95,6 +95,8 @@ pub fn qaoa1_expectation(ising: &Ising, beta: f64, gamma: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::qaoa::{qaoa_circuit, qaoa_expectation_sim};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn assert_matches_sim(ising: &Ising, beta: f64, gamma: f64) {
         let analytic = qaoa1_expectation(ising, beta, gamma);
@@ -173,6 +175,24 @@ mod tests {
                 let gamma = next() * 1.5;
                 assert_matches_sim(&ising, beta, gamma);
             }
+        }
+        // Sparse 5-spin instances: up to 7 random couplings (self-pairs
+        // dropped) over random fields, at random angles.
+        for case in 0..32 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut ising = Ising::new(5);
+            for i in 0..5 {
+                ising.add_field(i, rng.random_range(-1.0..1.0));
+            }
+            for _ in 0..rng.random_range(0..8) {
+                let (a, b) = (rng.random_range(0..5), rng.random_range(0..5));
+                let j = rng.random_range(-1.0..1.0);
+                if a != b {
+                    ising.add_coupling(a, b, j);
+                }
+            }
+            let beta = rng.random_range(-1.5..1.5);
+            assert_matches_sim(&ising, beta, rng.random_range(-1.5..1.5));
         }
     }
 

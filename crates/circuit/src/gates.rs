@@ -147,6 +147,29 @@ impl fmt::Display for Circuit {
     }
 }
 
+/// A random circuit over `n ≥ 2` qubits with `1..max_gates` gates from
+/// the full gate set (bar the router's SWAP), angles in `-3..3`: the
+/// input of the simulator and transpiler sweeps.
+#[cfg(test)]
+pub(crate) fn random_circuit(rng: &mut impl rand::Rng, n: usize, max_gates: usize) -> Circuit {
+    let mut c = Circuit::new(n);
+    for _ in 0..rng.random_range(1..max_gates) {
+        let (kind, a, b) = (rng.random_range(0..7), rng.random_range(0..n), rng.random_range(0..n));
+        let theta = rng.random_range(-3.0..3.0);
+        let b = if a == b { (b + 1) % n } else { b };
+        c.push(match kind {
+            0 => Gate::H(a),
+            1 => Gate::X(a),
+            2 => Gate::Rx(a, theta),
+            3 => Gate::Rz(a, theta),
+            4 => Gate::Cx(a, b),
+            5 => Gate::Rzz(a, b, theta),
+            _ => Gate::Xy(a, b, theta),
+        });
+    }
+    c
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

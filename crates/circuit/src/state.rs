@@ -345,5 +345,12 @@ mod tests {
         }
         s.run(&c);
         assert!(close(s.total_probability(), 1.0));
+        // Every gate is unitary: random circuits keep total probability 1.
+        for case in 0..32 {
+            let c = crate::gates::random_circuit(&mut StdRng::seed_from_u64(case), 4, 24);
+            let mut s = StateVector::zero(4);
+            s.run(&c);
+            assert!((s.total_probability() - 1.0).abs() < 1e-9, "case {case}:\n{c}");
+        }
     }
 }

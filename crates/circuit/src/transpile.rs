@@ -216,6 +216,8 @@ fn choose_layout(logical: &Circuit, map: &CouplingMap, dist: &[Vec<u32>]) -> Vec
 mod tests {
     use super::*;
     use crate::state::StateVector;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn full_connectivity_inserts_no_swaps() {
@@ -277,7 +279,9 @@ mod tests {
     }
 
     /// End-to-end semantic check: the transpiled circuit computes the
-    /// same distribution as the logical circuit (after decode).
+    /// same distribution as the logical circuit (after decode), for a
+    /// QAOA-shaped circuit and for random circuits over the full gate
+    /// set.
     #[test]
     fn transpiled_circuit_preserves_semantics() {
         let mut logical = Circuit::new(4);
@@ -290,21 +294,25 @@ mod tests {
         for q in 0..4 {
             logical.push(Gate::Rx(q, 0.8));
         }
+        let random = (0..32)
+            .map(|case| crate::gates::random_circuit(&mut StdRng::seed_from_u64(case), 4, 16));
         let map = CouplingMap::line(4);
-        let t = transpile(&logical, &map).unwrap();
-        let mut ideal = StateVector::zero(4);
-        ideal.run(&logical);
-        let mut routed = StateVector::zero(4);
-        routed.run(&t.circuit);
-        // Compare probability distributions after decode.
-        for phys in 0..16u64 {
-            let log = t.decode(phys);
-            let p_routed = routed.prob(phys as usize);
-            let p_ideal = ideal.prob(log as usize);
-            assert!(
-                (p_routed - p_ideal).abs() < 1e-9,
-                "phys {phys:04b} → log {log:04b}: {p_routed} vs {p_ideal}"
-            );
+        for logical in std::iter::once(logical).chain(random) {
+            let t = transpile(&logical, &map).unwrap();
+            let mut ideal = StateVector::zero(4);
+            ideal.run(&logical);
+            let mut routed = StateVector::zero(4);
+            routed.run(&t.circuit);
+            // Compare probability distributions after decode.
+            for phys in 0..16u64 {
+                let log = t.decode(phys);
+                let p_routed = routed.prob(phys as usize);
+                let p_ideal = ideal.prob(log as usize);
+                assert!(
+                    (p_routed - p_ideal).abs() < 1e-9,
+                    "phys {phys:04b} → log {log:04b}: {p_routed} vs {p_ideal} for\n{logical}"
+                );
+            }
         }
     }
 

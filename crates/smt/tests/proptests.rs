@@ -1,148 +1,216 @@
-//! Property-based tests for the exact-arithmetic substrate, checked
-//! against native integer oracles.
+//! Property sweeps for the exact-arithmetic substrate, checked against
+//! native integer oracles. Each property runs over `CASES` inputs drawn
+//! from `StdRng::seed_from_u64(case)`; the `BigInt` properties also run
+//! over every pair of a boundary corpus that random draws almost never
+//! hit.
 
 use nck_smt::{BigInt, LinConstraint, LinExpr, LpProblem, LpResult, Rational, Relation};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// Random cases per property.
+const CASES: u64 = 256;
 
-    #[test]
-    fn bigint_add_matches_i128(a in any::<i64>(), b in any::<i64>()) {
+/// The `i64` extremes, small magnitudes, and the values around the
+/// 32- and 64-bit boundaries where carries and borrows cross limbs.
+const BOUNDARY: [i64; 14] = [
+    i64::MIN,
+    i64::MIN + 1,
+    i64::MAX,
+    0,
+    1,
+    -1,
+    2,
+    -2,
+    1 << 32,
+    -(1 << 32),
+    (1 << 32) - 1,
+    -((1 << 32) - 1),
+    1 << 62,
+    i32::MIN as i64,
+];
+
+/// `CASES` pairs from `draw`, then every ordered pair of `BOUNDARY`.
+fn pairs(draw: impl Fn(&mut StdRng) -> i64) -> impl Iterator<Item = (i64, i64)> {
+    let random = (0..CASES).map(move |case| {
+        let mut rng = StdRng::seed_from_u64(case);
+        (draw(&mut rng), draw(&mut rng))
+    });
+    let boundary = BOUNDARY.iter().flat_map(|&a| BOUNDARY.iter().map(move |&b| (a, b)));
+    random.chain(boundary)
+}
+
+fn any_i64(rng: &mut StdRng) -> i64 {
+    rng.random::<u64>() as i64
+}
+
+fn any_i32(rng: &mut StdRng) -> i32 {
+    rng.random::<u32>() as i32
+}
+
+/// A rational `n/d` with `n` any `i32` and `d` in `1..1000`.
+fn any_ratio(rng: &mut StdRng) -> Rational {
+    let n = any_i32(rng);
+    Rational::ratio(n as i64, rng.random_range(1i64..1000))
+}
+
+#[test]
+fn bigint_add_matches_i128() {
+    for (a, b) in pairs(any_i64) {
         let sum = &BigInt::from(a) + &BigInt::from(b);
-        prop_assert_eq!(sum, BigInt::from(a as i128 + b as i128));
+        assert_eq!(sum, BigInt::from(a as i128 + b as i128), "{a} + {b}");
     }
+}
 
-    #[test]
-    fn bigint_mul_matches_i128(a in any::<i64>(), b in any::<i64>()) {
+#[test]
+fn bigint_mul_matches_i128() {
+    for (a, b) in pairs(any_i64) {
         let prod = &BigInt::from(a) * &BigInt::from(b);
-        prop_assert_eq!(prod, BigInt::from(a as i128 * b as i128));
+        assert_eq!(prod, BigInt::from(a as i128 * b as i128), "{a} · {b}");
     }
+}
 
-    #[test]
-    fn bigint_divrem_identity(a in any::<i64>(), b in any::<i64>().prop_filter("nonzero", |&b| b != 0)) {
+#[test]
+fn bigint_divrem_identity() {
+    for (a, b) in pairs(any_i64).filter(|&(_, b)| b != 0) {
         let (q, r) = BigInt::from(a).divrem(&BigInt::from(b));
         // a = q·b + r with |r| < |b|
-        prop_assert_eq!(&(&q * &BigInt::from(b)) + &r, BigInt::from(a));
-        prop_assert!(r.abs() < BigInt::from(b).abs());
+        assert_eq!(&(&q * &BigInt::from(b)) + &r, BigInt::from(a), "{a} divrem {b}");
+        assert!(r.abs() < BigInt::from(b).abs(), "{a} divrem {b}: remainder {r}");
     }
+}
 
-    #[test]
-    fn bigint_gcd_divides_both(a in any::<i32>(), b in any::<i32>()) {
-        let g = BigInt::from(a as i64).gcd(&BigInt::from(b as i64));
+#[test]
+fn bigint_gcd_divides_both() {
+    for (a, b) in pairs(|rng| any_i32(rng) as i64) {
+        let g = BigInt::from(a).gcd(&BigInt::from(b));
+        assert_eq!(g, BigInt::from(native_gcd(a, b) as i128), "gcd({a}, {b})");
         if !g.is_zero() {
-            let (_, r1) = BigInt::from(a as i64).divrem(&g);
-            let (_, r2) = BigInt::from(b as i64).divrem(&g);
-            prop_assert!(r1.is_zero() && r2.is_zero());
+            let (_, r1) = BigInt::from(a).divrem(&g);
+            let (_, r2) = BigInt::from(b).divrem(&g);
+            assert!(r1.is_zero() && r2.is_zero(), "gcd({a}, {b}) = {g}");
         } else {
-            prop_assert_eq!((a, b), (0, 0));
+            assert_eq!((a, b), (0, 0));
         }
     }
+}
 
-    #[test]
-    fn bigint_ordering_matches_i64(a in any::<i64>(), b in any::<i64>()) {
-        prop_assert_eq!(BigInt::from(a).cmp(&BigInt::from(b)), a.cmp(&b));
+/// Euclid on magnitudes: `gcd(i64::MIN, 0)` is 2⁶³, which no `i64`
+/// holds.
+fn native_gcd(a: i64, b: i64) -> u64 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    while b != 0 {
+        (a, b) = (b, a % b);
     }
+    a
+}
 
-    #[test]
-    fn rational_field_axioms(
-        (an, ad) in (any::<i32>(), 1i32..1000),
-        (bn, bd) in (any::<i32>(), 1i32..1000),
-        (cn, cd) in (any::<i32>(), 1i32..1000),
-    ) {
-        let a = Rational::ratio(an as i64, ad as i64);
-        let b = Rational::ratio(bn as i64, bd as i64);
-        let c = Rational::ratio(cn as i64, cd as i64);
+#[test]
+fn bigint_ordering_matches_i64() {
+    for (a, b) in pairs(any_i64) {
+        assert_eq!(BigInt::from(a).cmp(&BigInt::from(b)), a.cmp(&b), "{a} vs {b}");
+    }
+}
+
+#[test]
+fn rational_field_axioms() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(case);
+        let (a, b, c) = (any_ratio(&mut rng), any_ratio(&mut rng), any_ratio(&mut rng));
         // Commutativity and associativity.
-        prop_assert_eq!(&a + &b, &b + &a);
-        prop_assert_eq!(&a * &b, &b * &a);
-        prop_assert_eq!(&(&a + &b) + &c, &a + &(&b + &c));
+        assert_eq!(&a + &b, &b + &a, "case {case}");
+        assert_eq!(&a * &b, &b * &a, "case {case}");
+        assert_eq!(&(&a + &b) + &c, &a + &(&b + &c), "case {case}");
         // Distributivity.
-        prop_assert_eq!(&a * &(&b + &c), &(&a * &b) + &(&a * &c));
+        assert_eq!(&a * &(&b + &c), &(&a * &b) + &(&a * &c), "case {case}");
         // Subtraction inverts addition.
-        prop_assert_eq!(&(&a + &b) - &b, a.clone());
+        assert_eq!(&(&a + &b) - &b, a, "case {case}");
         // Reciprocal.
         if !b.is_zero() {
-            prop_assert_eq!(&(&a / &b) * &b, a);
+            assert_eq!(&(&a / &b) * &b, a, "case {case}");
         }
     }
+}
 
-    #[test]
-    fn rational_ordering_consistent_with_f64(
-        (an, ad) in (-1000i64..1000, 1i64..1000),
-        (bn, bd) in (-1000i64..1000, 1i64..1000),
-    ) {
+#[test]
+fn rational_ordering_consistent_with_f64() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(case);
+        let (an, ad) = (rng.random_range(-1000i64..1000), rng.random_range(1i64..1000));
+        let (bn, bd) = (rng.random_range(-1000i64..1000), rng.random_range(1i64..1000));
         let a = Rational::ratio(an, ad);
         let b = Rational::ratio(bn, bd);
         let fa = an as f64 / ad as f64;
         let fb = bn as f64 / bd as f64;
         if (fa - fb).abs() > 1e-9 {
-            prop_assert_eq!(a < b, fa < fb);
+            assert_eq!(a < b, fa < fb, "{an}/{ad} vs {bn}/{bd}");
         }
     }
+}
 
-    /// Random interval systems: the LP is feasible iff the intervals
-    /// intersect pairwise per variable and the witness satisfies every
-    /// constraint.
-    #[test]
-    fn simplex_on_random_box_systems(
-        bounds in prop::collection::vec((-50i64..50, -50i64..50), 1..5),
-    ) {
-        let n = bounds.len();
+/// Random interval systems: the LP is feasible iff every variable's
+/// interval is non-empty, and the witness lies in every interval.
+#[test]
+fn simplex_on_random_box_systems() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(case);
+        let n = rng.random_range(1usize..5);
+        let bounds: Vec<(i64, i64)> =
+            (0..n).map(|_| (rng.random_range(-50i64..50), rng.random_range(-50i64..50))).collect();
         let mut lp = LpProblem::new(n);
-        let mut feasible = true;
-        for (i, &(a, b)) in bounds.iter().enumerate() {
-            let (lo, hi) = (a.min(b), a.max(b));
-            if a > b {
-                feasible = false;
-                // Deliberately inverted: x ≥ a and x ≤ b with a > b.
-                let (lo, hi) = (a, b);
-                let mut e = LinExpr::var(i);
-                e.add_constant(&Rational::from(-lo));
-                lp.add(LinConstraint::new(e, Relation::Ge));
-                let mut e = LinExpr::var(i);
-                e.add_constant(&Rational::from(-hi));
-                lp.add(LinConstraint::new(e, Relation::Le));
-            } else {
-                let mut e = LinExpr::var(i);
-                e.add_constant(&Rational::from(-lo));
-                lp.add(LinConstraint::new(e, Relation::Ge));
-                let mut e = LinExpr::var(i);
-                e.add_constant(&Rational::from(-hi));
-                lp.add(LinConstraint::new(e, Relation::Le));
-            }
+        // An interval given as (a, b) with a > b is left inverted:
+        // x ≥ a and x ≤ b admit no x.
+        let feasible = bounds.iter().all(|&(a, b)| a <= b);
+        for (i, &(lo, hi)) in bounds.iter().enumerate() {
+            let mut e = LinExpr::var(i);
+            e.add_constant(&Rational::from(-lo));
+            lp.add(LinConstraint::new(e, Relation::Ge));
+            let mut e = LinExpr::var(i);
+            e.add_constant(&Rational::from(-hi));
+            lp.add(LinConstraint::new(e, Relation::Le));
         }
         match lp.feasible() {
             LpResult::Feasible(w) => {
-                prop_assert!(feasible, "infeasible system declared feasible");
-                for (i, &(a, b)) in bounds.iter().enumerate() {
-                    let (lo, hi) = (a.min(b), a.max(b));
-                    prop_assert!(w[i] >= Rational::from(lo) && w[i] <= Rational::from(hi));
+                assert!(feasible, "case {case}: infeasible {bounds:?} declared feasible");
+                for (i, &(lo, hi)) in bounds.iter().enumerate() {
+                    assert!(
+                        w[i] >= Rational::from(lo) && w[i] <= Rational::from(hi),
+                        "case {case}: witness outside {bounds:?}"
+                    );
                 }
             }
-            LpResult::Infeasible => prop_assert!(!feasible, "feasible system declared infeasible"),
+            LpResult::Infeasible => {
+                assert!(!feasible, "case {case}: feasible {bounds:?} declared infeasible")
+            }
         }
     }
+}
 
-    /// Random equality systems Ax = b with known solution x*: the
-    /// simplex must find some solution (witness check), and never
-    /// declare infeasibility.
-    #[test]
-    fn simplex_solves_consistent_equalities(
-        xstar in prop::collection::vec(-20i64..20, 2..5),
-        rows in prop::collection::vec(prop::collection::vec(-5i64..5, 2..5), 1..5),
-    ) {
-        let n = xstar.len();
+/// Random equality systems Ax = b with known solution x*: the
+/// simplex must find some solution (witness check), and never
+/// declare infeasibility.
+#[test]
+fn simplex_solves_consistent_equalities() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(case);
+        let n = rng.random_range(2usize..5);
+        let xstar: Vec<i64> = (0..n).map(|_| rng.random_range(-20i64..20)).collect();
+        let num_rows = rng.random_range(1usize..5);
+        let rows: Vec<Vec<i64>> = (0..num_rows)
+            .map(|_| {
+                let len = rng.random_range(2usize..5);
+                (0..len).map(|_| rng.random_range(-5i64..5)).collect()
+            })
+            .collect();
         let mut lp = LpProblem::new(n);
         let mut constraints = Vec::new();
         for row in &rows {
             let mut e = LinExpr::zero();
             let mut rhs = 0i64;
-            #[allow(clippy::needless_range_loop)] // xstar and row are index-coupled
-            for i in 0..n {
+            for (i, &x) in xstar.iter().enumerate() {
                 let c = row.get(i).copied().unwrap_or(0);
                 e.add_term(i, Rational::from(c));
-                rhs += c * xstar[i];
+                rhs += c * x;
             }
             e.add_constant(&Rational::from(-rhs));
             let c = LinConstraint::new(e, Relation::Eq);
@@ -152,10 +220,10 @@ proptest! {
         match lp.feasible() {
             LpResult::Feasible(w) => {
                 for c in &constraints {
-                    prop_assert!(c.holds(&w), "witness violates {c}");
+                    assert!(c.holds(&w), "case {case}: witness violates {c}");
                 }
             }
-            LpResult::Infeasible => prop_assert!(false, "consistent system declared infeasible"),
+            LpResult::Infeasible => panic!("case {case}: consistent system declared infeasible"),
         }
     }
 }
