@@ -140,7 +140,7 @@ pub struct Incumbent {
 /// [`solve`] under cooperative cancellation, with incumbent
 /// checkpoint/resume.
 ///
-/// The search polls `cancel` every [`CANCEL_POLL_NODES`] decision nodes
+/// The search polls `cancel` at a fixed interval of decision nodes
 /// and, when it fires, stops with `stats.truncated = true` and the best
 /// incumbent found so far — the same semantics as hitting the node
 /// limit. A truncated search never proves unsatisfiability.

@@ -18,7 +18,7 @@ pub fn closed_form(shape: &ConstraintShape) -> Option<CompiledQubo> {
     let d = shape.num_vars();
     // Case 1: the selection covers every achievable weighted count —
     // the constraint is a tautology; the zero QUBO is exact.
-    if achievable_counts(shape).iter().all(|c| shape.selection.contains(c)) {
+    if shape.achievable_counts().iter().all(|c| shape.selection.contains(c)) {
         return Some(CompiledQubo { qubo: RationalQubo::new(d), num_real: d, num_ancillas: 0 });
     }
     // Case 2: single-element selection {k}: (Σ mᵢxᵢ − k)².
@@ -39,24 +39,10 @@ pub fn closed_form(shape: &ConstraintShape) -> Option<CompiledQubo> {
     None
 }
 
-/// All weighted TRUE-counts achievable by some assignment.
-fn achievable_counts(shape: &ConstraintShape) -> Vec<u32> {
-    let mut sums = vec![false; shape.multiplicities.iter().sum::<u32>() as usize + 1];
-    sums[0] = true;
-    for &m in &shape.multiplicities {
-        for s in (0..sums.len() - m as usize).rev() {
-            if sums[s] {
-                sums[s + m as usize] = true;
-            }
-        }
-    }
-    sums.iter().enumerate().filter(|(_, &ok)| ok).map(|(s, _)| s as u32).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::verify;
+    use crate::search::{verify, GapMode};
     use std::collections::BTreeSet;
 
     fn shape(mults: &[u32], sel: &[u32]) -> ConstraintShape {
@@ -72,7 +58,7 @@ mod tests {
             for k in 0..=n as u32 {
                 let s = shape(&vec![1; n], &[k]);
                 let c = closed_form(&s).expect("closed form for {{k}}");
-                assert!(verify(&c, &s), "invalid closed form n={n} k={k}");
+                assert!(verify(&c, &s, GapMode::AtLeastOne), "invalid closed form n={n} k={k}");
                 assert_eq!(c.num_ancillas, 0);
             }
         }
@@ -83,7 +69,7 @@ mod tests {
         // {a, a, b} with selection {2}: satisfied iff a TRUE, b FALSE.
         let s = shape(&[2, 1], &[2]);
         let c = closed_form(&s).unwrap();
-        assert!(verify(&c, &s));
+        assert!(verify(&c, &s, GapMode::AtLeastOne));
         assert!(c.penalty(0b01).is_zero());
         assert!(c.penalty(0b11) >= Rational::one());
     }
@@ -93,7 +79,7 @@ mod tests {
         let s = shape(&[1, 1], &[0, 1, 2]);
         let c = closed_form(&s).unwrap();
         assert_eq!(c.qubo.num_terms(), 0);
-        assert!(verify(&c, &s));
+        assert!(verify(&c, &s, GapMode::AtLeastOne));
     }
 
     #[test]
@@ -103,18 +89,12 @@ mod tests {
         let s = shape(&[2], &[0, 2]);
         let c = closed_form(&s).unwrap();
         assert_eq!(c.qubo.num_terms(), 0);
-        assert!(verify(&c, &s));
+        assert!(verify(&c, &s, GapMode::AtLeastOne));
     }
 
     #[test]
     fn no_closed_form_for_general_selection() {
         assert!(closed_form(&shape(&[1, 1], &[0, 2])).is_none());
         assert!(closed_form(&shape(&[1, 1, 1], &[1, 2])).is_none());
-    }
-
-    #[test]
-    fn achievable_counts_subset_sums() {
-        let s = shape(&[2, 3], &[2]);
-        assert_eq!(achievable_counts(&s), vec![0, 2, 3, 5]);
     }
 }

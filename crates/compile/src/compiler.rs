@@ -14,17 +14,13 @@
 //! failing every soft constraint — the scaling rule the paper uses to
 //! mix hard and soft constraints in one QUBO.
 
-use crate::cache::QuboCache;
 use crate::closed::closed_form;
 use crate::error::CompileError;
-use crate::search::{
-    find_qubo_mode, verify_mode, CompiledQubo, ConstraintShape, GapMode, MAX_ANCILLAS,
-};
-use nck_core::{Constraint, Program, Var};
+use crate::search::{find_qubo, verify, CompiledQubo, ConstraintShape, GapMode};
+use nck_core::{CompileKey, Constraint, Program, Var};
 use nck_qubo::Qubo;
 use nck_smt::Rational;
-use rayon::prelude::*;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,10 +28,11 @@ use std::time::{Duration, Instant};
 /// Compiler options.
 #[derive(Clone, Debug)]
 pub struct CompilerOptions {
-    /// Maximum ancillas per constraint in the coefficient search.
-    pub max_ancillas: u32,
-    /// Reuse compiled QUBOs across symmetric constraints. Disabling
-    /// reproduces the paper's unoptimized 40–50× compile-time penalty.
+    /// Reuse compiled QUBOs across symmetric constraints: constraints
+    /// with the same [`CompileKey`] and gap share one table, exchangeable
+    /// up to variable renaming. This is the caching the paper's
+    /// prototype lacks (§VIII-C); disabling it reproduces that
+    /// prototype's 40–50× compile-time penalty.
     pub use_cache: bool,
     /// Use closed-form constructions where available instead of the
     /// SMT search.
@@ -48,12 +45,7 @@ pub struct CompilerOptions {
 
 impl Default for CompilerOptions {
     fn default() -> Self {
-        CompilerOptions {
-            max_ancillas: MAX_ANCILLAS,
-            use_cache: true,
-            use_closed_forms: true,
-            hard_weight: None,
-        }
+        CompilerOptions { use_cache: true, use_closed_forms: true, hard_weight: None }
     }
 }
 
@@ -62,7 +54,8 @@ impl Default for CompilerOptions {
 pub struct CompileStats {
     /// Cache hits (constraint reused an earlier symmetric compile).
     pub cache_hits: u64,
-    /// Cache misses / uncached compilations.
+    /// Cache misses: constraints compiled afresh (every constraint when
+    /// the cache is off).
     pub cache_misses: u64,
     /// Compilations answered by a closed form.
     pub closed_form_hits: u64,
@@ -131,18 +124,8 @@ fn shape_and_vars(c: &Constraint) -> (ConstraintShape, Vec<Var>) {
     (shape, vars)
 }
 
-/// Compile a single constraint to its normalized QUBO (no caching).
 /// Soft constraints get the flat [`GapMode::ExactlyOne`] penalty so
 /// that QUBO energy counts violated constraints, per Definition 6.
-pub fn compile_constraint(
-    c: &Constraint,
-    opts: &CompilerOptions,
-) -> Result<CompiledQubo, CompileError> {
-    let (shape, _) = shape_and_vars(c);
-    let mode = gap_mode_for(c);
-    compile_shape(&shape, opts, mode).map(|(q, _)| q)
-}
-
 fn gap_mode_for(c: &Constraint) -> GapMode {
     if c.is_hard() {
         GapMode::AtLeastOne
@@ -151,28 +134,24 @@ fn gap_mode_for(c: &Constraint) -> GapMode {
     }
 }
 
+/// Compile one shape; the flag is true when a closed form answered.
 fn compile_shape(
     shape: &ConstraintShape,
     opts: &CompilerOptions,
     mode: GapMode,
 ) -> Result<(CompiledQubo, bool), CompileError> {
-    if !shape.satisfiable() {
-        return Err(CompileError::Unsatisfiable(format!(
-            "shape {:?} / selection {:?} has no satisfying assignment",
-            shape.multiplicities, shape.selection
-        )));
-    }
-    if opts.use_closed_forms {
+    // An unsatisfiable shape goes on to `find_qubo`, which rejects it.
+    if opts.use_closed_forms && shape.satisfiable() {
         if let Some(q) = closed_form(shape) {
             // Closed forms always meet the hard-constraint gap; under
             // the soft (flat) gap they are only usable when the graded
             // penalties happen to be flat already.
-            if mode == GapMode::AtLeastOne || verify_mode(&q, shape, mode) {
+            if mode == GapMode::AtLeastOne || verify(&q, shape, mode) {
                 return Ok((q, true));
             }
         }
     }
-    match find_qubo_mode(shape, opts.max_ancillas, mode) {
+    match find_qubo(shape, mode) {
         Ok(q) => Ok((q, false)),
         // A soft constraint with no flat-penalty QUBO falls back to the
         // graded penalty: ranking among suboptimal assignments may then
@@ -180,7 +159,7 @@ fn compile_shape(
         // DESIGN.md), but optima are unaffected when the fallback's
         // minimum penalty is still 1.
         Err(CompileError::NoQuboFound { .. }) if mode == GapMode::ExactlyOne => {
-            find_qubo_mode(shape, opts.max_ancillas, GapMode::AtLeastOne).map(|q| (q, false))
+            find_qubo(shape, GapMode::AtLeastOne).map(|q| (q, false))
         }
         Err(e) => Err(e),
     }
@@ -189,111 +168,65 @@ fn compile_shape(
 /// Compile `program` into a single QUBO.
 pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProgram, CompileError> {
     let start = Instant::now();
-    let cache = QuboCache::new();
     let mut stats = CompileStats::default();
-
-    // Pre-compile each distinct shape in parallel when caching: the
-    // compilations are independent pure functions, so this is a
-    // classic rayon fan-out.
+    let mut memo: HashMap<(CompileKey, GapMode), Arc<CompiledQubo>> = HashMap::new();
     let constraints = program.constraints();
-    if opts.use_cache {
-        let mut shapes = Vec::new();
-        let mut seen = HashSet::new();
-        for c in constraints {
-            if seen.insert((c.compile_key(), gap_mode_for(c))) {
-                shapes.push(c);
-            }
-        }
-        let compiled: Result<Vec<_>, CompileError> = shapes
-            .par_iter()
-            .map(|c| {
-                let (shape, _) = shape_and_vars(c);
-                let mode = gap_mode_for(c);
-                compile_shape(&shape, opts, mode)
-                    .map(|(q, closed)| (c.compile_key(), mode, q, closed))
-            })
-            .collect();
-        for (key, mode, q, closed) in compiled? {
-            stats.closed_form_hits += u64::from(closed);
-            stats.smt_searches += u64::from(!closed);
-            let _ = cache.get_or_compile(&key, mode, || Ok(q))?;
-        }
-    }
-
-    // Assemble: per-constraint QUBOs summed with hard/soft weighting.
     let mut placements = Vec::with_capacity(constraints.len());
     let mut next_ancilla = program.num_vars();
-    let mut hard_parts: Vec<(usize, Arc<CompiledQubo>, Vec<usize>)> = Vec::new();
-    let mut soft_parts: Vec<(u32, Arc<CompiledQubo>, Vec<usize>)> = Vec::new();
-    for (idx, c) in constraints.iter().enumerate() {
+    for c in constraints {
         let (shape, vars) = shape_and_vars(c);
         let mode = gap_mode_for(c);
-        let compiled: Arc<CompiledQubo> = if opts.use_cache {
-            cache.get_or_compile(&c.compile_key(), mode, || {
-                // Already populated above; this closure only runs if a
-                // shape somehow failed to pre-compile.
-                compile_shape(&shape, opts, mode).map(|(q, _)| q)
-            })?
-        } else {
-            // Cache disabled: recompile every constraint, symmetric or
-            // not — the paper's reported wasteful behaviour.
-            let (q, closed) = compile_shape(&shape, opts, mode)?;
-            stats.closed_form_hits += u64::from(closed);
-            stats.smt_searches += u64::from(!closed);
-            Arc::new(q)
+        let key = (c.compile_key(), mode);
+        let hit = if opts.use_cache { memo.get(&key).cloned() } else { None };
+        let compiled = match hit {
+            Some(compiled) => {
+                stats.cache_hits += 1;
+                compiled
+            }
+            None => {
+                stats.cache_misses += 1;
+                let (q, closed) = compile_shape(&shape, opts, mode)?;
+                stats.closed_form_hits += u64::from(closed);
+                stats.smt_searches += u64::from(!closed);
+                let compiled = Arc::new(q);
+                if opts.use_cache {
+                    memo.insert(key, Arc::clone(&compiled));
+                }
+                compiled
+            }
         };
         let ancillas = next_ancilla..next_ancilla + compiled.num_ancillas;
         next_ancilla = ancillas.end;
         let mut var_map: Vec<usize> = vars.iter().map(|v| v.index()).collect();
         var_map.extend(ancillas.clone());
-        if c.is_hard() {
-            hard_parts.push((idx, Arc::clone(&compiled), var_map.clone()));
-        } else {
-            soft_parts.push((c.weight(), Arc::clone(&compiled), var_map.clone()));
-        }
         placements.push(ConstraintPlacement { compiled, var_map, ancillas });
     }
-    if opts.use_cache {
-        stats.cache_hits = cache.hits();
-        stats.cache_misses = cache.misses();
-    } else {
-        stats.cache_misses = constraints.len() as u64;
-    }
+    let parts = || constraints.iter().zip(&placements);
+    let soft = || parts().filter(|(c, _)| !c.is_hard());
 
     // Hard weight: 1 + Σ worst-case soft penalties (exact, then
     // lowered). Any hard violation (penalty ≥ 1, scaled by W) then
     // costs more than failing every soft constraint.
-    let hard_weight = match opts.hard_weight {
-        Some(w) => w,
-        None => {
-            let mut total = Rational::one();
-            for (weight, compiled, _) in &soft_parts {
-                let scaled = &Rational::from(*weight as i64) * &compiled.max_penalty();
-                total += &scaled;
-            }
-            total.ceil().to_f64()
+    let hard_weight = opts.hard_weight.unwrap_or_else(|| {
+        let mut total = Rational::one();
+        for (c, placement) in soft() {
+            total += &(&Rational::from(i64::from(c.weight())) * &placement.compiled.max_penalty());
         }
-    };
+        total.ceil().to_f64()
+    });
 
-    let num_qubo_vars = next_ancilla;
-    let mut qubo = Qubo::new(num_qubo_vars);
-    for (_, compiled, var_map) in &hard_parts {
-        let mut part = compiled.qubo.to_f64();
-        part.scale(hard_weight);
-        qubo.add_mapped(&part, var_map);
-    }
-    for (weight, compiled, var_map) in &soft_parts {
-        let mut part = compiled.qubo.to_f64();
-        if *weight != 1 {
-            part.scale(*weight as f64);
-        }
-        qubo.add_mapped(&part, var_map);
+    // All hard parts, then all soft parts, each in constraint order.
+    let mut qubo = Qubo::new(next_ancilla);
+    for (c, placement) in parts().filter(|(c, _)| c.is_hard()).chain(soft()) {
+        let mut part = placement.compiled.qubo.to_f64();
+        part.scale(if c.is_hard() { hard_weight } else { f64::from(c.weight()) });
+        qubo.add_mapped(&part, &placement.var_map);
     }
 
     Ok(CompiledProgram {
         qubo,
         num_program_vars: program.num_vars(),
-        num_ancillas: num_qubo_vars - program.num_vars(),
+        num_ancillas: next_ancilla - program.num_vars(),
         hard_weight,
         placements,
         stats,
@@ -305,6 +238,7 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
 mod tests {
     use super::*;
     use nck_qubo::solve_exhaustive;
+    use std::collections::HashSet;
 
     fn opts() -> CompilerOptions {
         CompilerOptions::default()
@@ -412,11 +346,40 @@ mod tests {
         }
         let compiled = compile(&p, &opts()).unwrap();
         assert_eq!(compiled.stats.cache_misses, 1);
-        assert_eq!(compiled.stats.cache_hits, 7);
+        assert_eq!(compiled.stats.cache_hits, 6);
         let no_cache = compile(&p, &CompilerOptions { use_cache: false, ..opts() }).unwrap();
         assert_eq!(no_cache.stats.cache_hits, 0);
+        assert_eq!(no_cache.stats.cache_misses, 7);
         // Same QUBO either way.
         assert_eq!(compiled.qubo, no_cache.qubo);
+    }
+
+    #[test]
+    fn gap_modes_cached_separately() {
+        // The same shape compiles to different tables under the hard
+        // (≥ 1) and soft (= 1) gaps; the cache must not conflate them.
+        let mut p = Program::new();
+        let vs = p.new_vars("v", 3).unwrap();
+        p.nck(vec![vs[0], vs[1]], [1, 2]).unwrap();
+        p.nck_soft(vec![vs[1], vs[2]], [1, 2]).unwrap();
+        let compiled = compile(&p, &opts()).unwrap();
+        assert_eq!(compiled.stats.cache_misses, 2);
+        assert_eq!(compiled.stats.cache_hits, 0);
+    }
+
+    #[test]
+    fn wide_single_count_shapes_compile_in_closed_form() {
+        // Satisfiability comes from the achievable counts, so a 64-wide
+        // shape costs a subset-sum pass rather than 2^64 assignments.
+        for k in [1, 64] {
+            let mut p = Program::new();
+            let vs = p.new_vars("v", 64).unwrap();
+            p.nck(vs, [k]).unwrap();
+            let compiled = compile(&p, &opts()).unwrap();
+            assert_eq!(compiled.num_qubo_vars(), 64, "nck(64, {{{k}}})");
+            assert_eq!(compiled.num_ancillas, 0);
+            assert_eq!(compiled.stats.closed_form_hits, 1);
+        }
     }
 
     #[test]
@@ -472,6 +435,4 @@ mod tests {
         assert!(compiled.placements[1].ancillas.is_empty());
         assert_eq!(compiled.placements[1].var_map, vec![0]);
     }
-
-    use std::collections::HashSet;
 }

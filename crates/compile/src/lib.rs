@@ -10,7 +10,7 @@
 //! implementation. Per-constraint QUBOs are summed into a program QUBO
 //! with hard constraints weighted above the worst-case total soft
 //! penalty ([`compiler`]), and symmetric constraints share one compiled
-//! table through a concurrent cache ([`cache`]).
+//! table within a compile (see [`CompilerOptions::use_cache`]).
 //!
 //! ```
 //! use nck_core::Program;
@@ -33,21 +33,13 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod closed;
 pub mod compiler;
 pub mod error;
 pub mod rqubo;
 pub mod search;
 
-pub use cache::QuboCache;
-pub use compiler::{
-    compile, compile_constraint, CompileStats, CompiledProgram, CompilerOptions,
-    ConstraintPlacement,
-};
+pub use compiler::{compile, CompileStats, CompiledProgram, CompilerOptions, ConstraintPlacement};
 pub use error::CompileError;
 pub use rqubo::RationalQubo;
-pub use search::{
-    find_qubo, find_qubo_mode, verify, verify_mode, CompiledQubo, ConstraintShape, GapMode,
-    MAX_ANCILLAS,
-};
+pub use search::{find_qubo, verify, CompiledQubo, ConstraintShape, GapMode, MAX_ANCILLAS};

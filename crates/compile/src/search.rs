@@ -61,9 +61,25 @@ impl ConstraintShape {
         self.selection.contains(&count)
     }
 
+    /// All weighted TRUE-counts achievable by some assignment, in
+    /// ascending order: a subset-sum pass, linear in the total
+    /// multiplicity rather than exponential in the variable count.
+    pub fn achievable_counts(&self) -> Vec<u32> {
+        let mut sums = vec![false; self.multiplicities.iter().sum::<u32>() as usize + 1];
+        sums[0] = true;
+        for &m in &self.multiplicities {
+            for s in (0..sums.len() - m as usize).rev() {
+                if sums[s] {
+                    sums[s + m as usize] = true;
+                }
+            }
+        }
+        sums.iter().enumerate().filter(|(_, &ok)| ok).map(|(s, _)| s as u32).collect()
+    }
+
     /// True iff at least one assignment satisfies the shape.
     pub fn satisfiable(&self) -> bool {
-        (0..1u64 << self.num_vars()).any(|bits| self.satisfied_by(bits))
+        self.achievable_counts().iter().any(|c| self.selection.contains(c))
     }
 }
 
@@ -116,95 +132,80 @@ pub enum GapMode {
 /// [`GapMode::ExactlyOne`]). This re-checks the SMT witness with
 /// independent arithmetic, so a compiler bug cannot silently ship a
 /// wrong table.
-pub fn verify_mode(compiled: &CompiledQubo, shape: &ConstraintShape, mode: GapMode) -> bool {
+pub fn verify(compiled: &CompiledQubo, shape: &ConstraintShape, mode: GapMode) -> bool {
     let one = Rational::one();
-    for bits in 0..1u64 << compiled.num_real {
+    (0..1u64 << compiled.num_real).all(|bits| {
         let p = compiled.penalty(bits);
         if shape.satisfied_by(bits) {
-            if !p.is_zero() {
-                return false;
-            }
+            p.is_zero()
         } else {
             match mode {
-                GapMode::AtLeastOne => {
-                    if p < one {
-                        return false;
-                    }
-                }
-                GapMode::ExactlyOne => {
-                    if p != one {
-                        return false;
-                    }
-                }
+                GapMode::AtLeastOne => p >= one,
+                GapMode::ExactlyOne => p == one,
             }
         }
-    }
-    true
-}
-
-/// [`verify_mode`] with the hard-constraint gap.
-pub fn verify(compiled: &CompiledQubo, shape: &ConstraintShape) -> bool {
-    verify_mode(compiled, shape, GapMode::AtLeastOne)
+    })
 }
 
 /// Find a QUBO for `shape` under `mode`, escalating ancillas
-/// 0..=`max_ancillas` and trying the symmetric ansatz before the
+/// 0..=[`MAX_ANCILLAS`] and trying the symmetric ansatz before the
 /// general one at each level.
-pub fn find_qubo_mode(
-    shape: &ConstraintShape,
-    max_ancillas: u32,
-    mode: GapMode,
-) -> Result<CompiledQubo, CompileError> {
+pub fn find_qubo(shape: &ConstraintShape, mode: GapMode) -> Result<CompiledQubo, CompileError> {
     if !shape.satisfiable() {
         return Err(CompileError::Unsatisfiable(format!(
             "shape {:?} / selection {:?} has no satisfying assignment",
             shape.multiplicities, shape.selection
         )));
     }
-    for a in 0..=max_ancillas {
-        if let Some(c) = search_symmetric(shape, a as usize, mode) {
-            debug_assert!(verify_mode(&c, shape, mode));
+    for a in 0..=MAX_ANCILLAS as usize {
+        let found = search_symmetric(shape, a, mode).or_else(|| search_general(shape, a, mode));
+        if let Some(c) = found {
+            debug_assert!(verify(&c, shape, mode));
             return Ok(c);
-        }
-        if shape.num_vars() + a as usize <= GENERAL_LIMIT {
-            if let Some(c) = search_general(shape, a as usize, mode) {
-                debug_assert!(verify_mode(&c, shape, mode));
-                return Ok(c);
-            }
         }
     }
     Err(CompileError::NoQuboFound {
-        ancillas_tried: max_ancillas,
+        ancillas_tried: MAX_ANCILLAS,
         shape: format!("{:?} / {:?}", shape.multiplicities, shape.selection),
     })
 }
 
-/// [`find_qubo_mode`] with the hard-constraint gap.
-pub fn find_qubo(shape: &ConstraintShape, max_ancillas: u32) -> Result<CompiledQubo, CompileError> {
-    find_qubo_mode(shape, max_ancillas, GapMode::AtLeastOne)
-}
-
-/// Whether coefficient searches polish their witness to an L1-minimal
-/// table (smaller coefficients → better hardware dynamic range and
-/// tables closer to handcrafted ones). On by default; exposed for the
-/// compile-time benchmarks.
-pub static SOLVE_MINIMIZE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Solve `problem` over `base_unknowns` coefficients, optionally
-/// appending one auxiliary `t_k ≥ |x_k|` per unknown and minimizing
-/// `Σ t_k` within the found branch.
+/// Solve the coefficient LP over `num_unknowns` coefficients, one row
+/// per real-variable class: whether the class satisfies the shape, and
+/// its energy under each ancilla setting. A satisfying class needs
+/// E ≥ 0 everywhere and E = 0 for some ancilla setting; a violating
+/// class needs E ≥ 1 everywhere and, under [`GapMode::ExactlyOne`],
+/// E = 1 for some setting. The witness is polished to an L1-minimal
+/// table within the branch found (smaller coefficients mean better
+/// hardware dynamic range and tables closer to handcrafted ones).
 fn solve_coefficients(
-    mut problem: DisjunctiveProblem,
-    base_unknowns: usize,
+    num_unknowns: usize,
+    mode: GapMode,
+    rows: impl Iterator<Item = (bool, Vec<LinExpr>)>,
 ) -> Option<Vec<Rational>> {
-    if !SOLVE_MINIMIZE.load(std::sync::atomic::Ordering::Relaxed) {
-        return problem.solve();
+    // Twice the unknowns: unknowns [num_unknowns..2·num_unknowns) are
+    // the t_k ≥ |x_k| of the L1 objective.
+    let mut problem = DisjunctiveProblem::new(2 * num_unknowns);
+    for (satisfying, energies) in rows {
+        // One ancilla setting must sit exactly on the bound.
+        let tight = satisfying || mode == GapMode::ExactlyOne;
+        let mut witnesses = Vec::new();
+        for mut e in energies {
+            if !satisfying {
+                e.add_constant(&-Rational::one());
+            }
+            problem.require(LinConstraint::new(e.clone(), Relation::Ge));
+            if tight {
+                witnesses.push(vec![LinConstraint::new(e, Relation::Eq)]);
+            }
+        }
+        if tight {
+            problem.require_any(witnesses);
+        }
     }
-    // The DisjunctiveProblem was created with room for the aux block
-    // (see callers): unknowns [base..2·base) are the t_k.
     let mut objective = LinExpr::zero();
-    for k in 0..base_unknowns {
-        let t = base_unknowns + k;
+    for k in 0..num_unknowns {
+        let t = num_unknowns + k;
         // t − x ≥ 0 and t + x ≥ 0.
         let mut ge_pos = LinExpr::var(t);
         ge_pos.add_term(k, -Rational::one());
@@ -356,37 +357,13 @@ fn search_symmetric(
     mode: GapMode,
 ) -> Option<CompiledQubo> {
     let layout = SymmetricLayout::new(shape, num_anc);
-    // Twice the unknowns: the upper half is the |·|-bounding aux block
-    // used by the L1 polish (unconstrained unless the polish runs).
-    let mut problem = DisjunctiveProblem::new(2 * layout.num_unknowns);
-    let one = Rational::one();
-    for counts in count_vectors(&layout.groups) {
+    let rows = count_vectors(&layout.groups).into_iter().map(|counts| {
         let weighted: u32 =
             counts.iter().zip(&layout.groups).map(|(&t, &(mu, _))| t as u32 * mu).sum();
-        let satisfying = shape.selection.contains(&weighted);
-        let mut witnesses = Vec::new();
-        for anc in 0..1u64 << num_anc {
-            let e = layout.energy_expr(&counts, anc);
-            if satisfying {
-                // E ≥ 0 always; some ancilla attains E = 0.
-                problem.require(LinConstraint::new(e.clone(), Relation::Ge));
-                witnesses.push(vec![LinConstraint::new(e, Relation::Eq)]);
-            } else {
-                // E − 1 ≥ 0 for every ancilla; under ExactlyOne, some
-                // ancilla must attain E = 1 so the min penalty is flat.
-                let mut em1 = e;
-                em1.add_constant(&(-&one));
-                problem.require(LinConstraint::new(em1.clone(), Relation::Ge));
-                if mode == GapMode::ExactlyOne {
-                    witnesses.push(vec![LinConstraint::new(em1, Relation::Eq)]);
-                }
-            }
-        }
-        if satisfying || (mode == GapMode::ExactlyOne && !witnesses.is_empty()) {
-            problem.require_any(witnesses);
-        }
-    }
-    let witness = solve_coefficients(problem, layout.num_unknowns)?;
+        let energies = (0..1u64 << num_anc).map(|anc| layout.energy_expr(&counts, anc)).collect();
+        (shape.selection.contains(&weighted), energies)
+    });
+    let witness = solve_coefficients(layout.num_unknowns, mode, rows)?;
     Some(reconstruct_symmetric(shape, &layout, &witness))
 }
 
@@ -473,31 +450,16 @@ impl GeneralLayout {
 fn search_general(shape: &ConstraintShape, num_anc: usize, mode: GapMode) -> Option<CompiledQubo> {
     let d = shape.num_vars();
     let n = d + num_anc;
-    let layout = GeneralLayout { n };
-    let mut problem = DisjunctiveProblem::new(2 * layout.num_unknowns());
-    let one = Rational::one();
-    for var_bits in 0..1u64 << d {
-        let satisfying = shape.satisfied_by(var_bits);
-        let mut witnesses = Vec::new();
-        for anc in 0..1u64 << num_anc {
-            let e = layout.energy_expr(var_bits | anc << d);
-            if satisfying {
-                problem.require(LinConstraint::new(e.clone(), Relation::Ge));
-                witnesses.push(vec![LinConstraint::new(e, Relation::Eq)]);
-            } else {
-                let mut em1 = e;
-                em1.add_constant(&(-&one));
-                problem.require(LinConstraint::new(em1.clone(), Relation::Ge));
-                if mode == GapMode::ExactlyOne {
-                    witnesses.push(vec![LinConstraint::new(em1, Relation::Eq)]);
-                }
-            }
-        }
-        if satisfying || (mode == GapMode::ExactlyOne && !witnesses.is_empty()) {
-            problem.require_any(witnesses);
-        }
+    if n > GENERAL_LIMIT {
+        return None;
     }
-    let witness = solve_coefficients(problem, layout.num_unknowns())?;
+    let layout = GeneralLayout { n };
+    let rows = (0..1u64 << d).map(|var_bits| {
+        let energies =
+            (0..1u64 << num_anc).map(|anc| layout.energy_expr(var_bits | anc << d)).collect();
+        (shape.satisfied_by(var_bits), energies)
+    });
+    let witness = solve_coefficients(layout.num_unknowns(), mode, rows)?;
     let mut q = RationalQubo::new(n);
     q.add_offset(witness[layout.offset()].clone());
     for i in 0..n {
@@ -519,8 +481,8 @@ mod tests {
 
     fn compile_ok(mults: &[u32], sel: &[u32]) -> CompiledQubo {
         let s = shape(mults, sel);
-        let c = find_qubo(&s, MAX_ANCILLAS).expect("compilable");
-        assert!(verify(&c, &s), "verification failed for {s:?}: {:?}", c.qubo);
+        let c = find_qubo(&s, GapMode::AtLeastOne).expect("compilable");
+        assert!(verify(&c, &s, GapMode::AtLeastOne), "verification failed for {s:?}: {:?}", c.qubo);
         c
     }
 
@@ -547,8 +509,8 @@ mod tests {
         // nck({a,b,c},{0,2}) — the paper's XOR example a⊕b = c is
         // nck({a,b,c},{0,2}), which *does* need an ancilla (§VI-C).
         let s = shape(&[1, 1, 1], &[0, 2]);
-        let c = find_qubo(&s, MAX_ANCILLAS).unwrap();
-        assert!(verify(&c, &s));
+        let c = find_qubo(&s, GapMode::AtLeastOne).unwrap();
+        assert!(verify(&c, &s, GapMode::AtLeastOne));
         assert_eq!(c.num_ancillas, 1, "XOR requires exactly one ancilla");
     }
 
@@ -557,8 +519,8 @@ mod tests {
         // nck({a,b,c},{1,3}) — §VI-B Discussion: cannot be a
         // three-variable QUBO, requires a fourth ancillary variable.
         let s = shape(&[1, 1, 1], &[1, 3]);
-        let c = find_qubo(&s, MAX_ANCILLAS).unwrap();
-        assert!(verify(&c, &s));
+        let c = find_qubo(&s, GapMode::AtLeastOne).unwrap();
+        assert!(verify(&c, &s, GapMode::AtLeastOne));
         assert_eq!(c.num_ancillas, 1);
     }
 
@@ -599,7 +561,7 @@ mod tests {
     fn unsatisfiable_shape_is_error() {
         // {a, a} with selection {1}: count 1 unachievable.
         let s = shape(&[2], &[1]);
-        match find_qubo(&s, MAX_ANCILLAS) {
+        match find_qubo(&s, GapMode::AtLeastOne) {
             Err(CompileError::Unsatisfiable(_)) => {}
             other => panic!("expected Unsatisfiable, got {other:?}"),
         }
@@ -620,8 +582,8 @@ mod tests {
         // The paper's repeated-variable SAT encoding:
         // nck({x,y,z,z},{0,1,2,4}) for clause (x ∨ y ∨ ¬z).
         let s = shape(&[1, 1, 2], &[0, 1, 2, 4]);
-        let c = find_qubo(&s, MAX_ANCILLAS).unwrap();
-        assert!(verify(&c, &s));
+        let c = find_qubo(&s, GapMode::AtLeastOne).unwrap();
+        assert!(verify(&c, &s, GapMode::AtLeastOne));
         // violating: z TRUE, x or y adding to count 3
         assert!(c.penalty(0b101) >= Rational::one()); // x,z → count 3
         assert!(c.penalty(0b100).is_zero()); // z alone → count 2 OK
@@ -637,22 +599,14 @@ mod tests {
     }
 
     #[test]
-    fn l1_polish_small_coefficients_and_knob() {
-        // Combined in one test because SOLVE_MINIMIZE is process-global
-        // and tests run concurrently.
-        use std::sync::atomic::Ordering;
+    fn l1_polish_small_coefficients() {
         // The XOR table's known hand-derived coefficient profile has
         // magnitudes {1, 2, 4}; the L1 polish must not exceed that
         // scale (an unpolished witness can be much larger).
         let s = shape(&[1, 1, 1], &[0, 2]);
-        let c = find_qubo(&s, MAX_ANCILLAS).unwrap();
+        let c = find_qubo(&s, GapMode::AtLeastOne).unwrap();
         let max = c.qubo.to_f64().max_abs_coeff();
         assert!(max <= 4.0 + 1e-9, "polished XOR coefficient {max} too large");
-        // With the knob off, the table must still verify.
-        SOLVE_MINIMIZE.store(false, Ordering::SeqCst);
-        let c = find_qubo(&s, MAX_ANCILLAS).unwrap();
-        SOLVE_MINIMIZE.store(true, Ordering::SeqCst);
-        assert!(verify(&c, &s), "unpolished table must still verify");
     }
 
     #[test]
@@ -670,5 +624,13 @@ mod tests {
         assert!(!s.satisfied_by(0b01)); // count 1
         assert!(s.satisfied_by(0b10)); // count 2 (the doubled var)
         assert!(!s.satisfied_by(0b11)); // count 3
+    }
+
+    #[test]
+    fn achievable_counts_subset_sums() {
+        let s = shape(&[2, 3], &[2]);
+        assert_eq!(s.achievable_counts(), vec![0, 2, 3, 5]);
+        assert!(s.satisfiable());
+        assert!(!shape(&[2, 3], &[1, 4]).satisfiable());
     }
 }

@@ -15,11 +15,12 @@ const PINNED: u64 = 0xd842_9835_283e_066b;
 /// multiplicities, selection set.
 type Shape = (bool, &'static [u32], &'static [u32]);
 
-/// Every shape the three perfbench workloads compile, the shapes of the
+/// Every shape the three perfbench workloads compile, the
+/// repeated-variable 3-SAT clause shapes, the shapes of the
 /// coefficient-search unit tests, and two soft shapes that take the SMT
 /// search under the flat (`ExactlyOne`) gap.
 const SHAPES: &[Shape] = &[
-    // perfbench workloads.
+    // The perfbench workloads' hard shapes.
     (true, &[1], &[1]),
     (true, &[1, 1], &[1]),
     (true, &[1, 1], &[0, 1]),
@@ -28,9 +29,11 @@ const SHAPES: &[Shape] = &[
     (true, &[1, 1, 1, 1], &[1]),
     (true, &[1, 1, 1, 1, 1], &[1]),
     (true, &[1, 1, 1], &[1, 2, 3]),
+    // Repeated-variable 3-SAT clauses (`KSat::program_repeated`).
     (true, &[1, 1, 1], &[0, 1, 2]),
     (true, &[1, 1, 3], &[0, 1, 2, 4, 5]),
     (true, &[1, 2, 2], &[0, 1, 2, 3, 5]),
+    // The perfbench workloads' soft shapes.
     (false, &[1], &[0]),
     (false, &[1, 1], &[1]),
     // Coefficient-search unit tests.

@@ -68,80 +68,41 @@ impl DisjunctiveProblem {
     /// this is a local optimum across branches, which is what the QUBO
     /// compiler wants — any valid table, with small coefficients).
     pub fn solve_minimizing(&self, objective: &LinExpr) -> Option<Vec<Rational>> {
-        let mut stats = SearchStats::default();
-        let root = self.check(&[], &mut stats)?;
-        let mut order: Vec<usize> = (0..self.groups.len()).collect();
-        order.sort_by_key(|&g| self.groups[g].len());
-        let mut branch: Vec<(usize, usize)> = Vec::with_capacity(order.len());
-        if !self.search_recording(&order, 0, &mut branch, root, &mut stats) {
-            return None;
-        }
-        let mut lp = LpProblem::new(self.num_vars);
-        for c in &self.hard {
-            lp.add(c.clone());
-        }
-        for &(g, a) in &branch {
-            for c in &self.groups[g][a] {
-                lp.add(c.clone());
-            }
-        }
-        match lp.minimize(objective) {
+        let mut chosen = Vec::new();
+        self.search_from_root(&mut chosen, &mut SearchStats::default())?;
+        match self.lp(&chosen).minimize(objective) {
             LpResult::Feasible(w) => Some(w),
             LpResult::Infeasible => None,
         }
     }
 
-    /// Like `search`, but leaves the winning branch in `chosen` and
-    /// returns success instead of the witness.
-    fn search_recording(
-        &self,
-        order: &[usize],
-        depth: usize,
-        chosen: &mut Vec<(usize, usize)>,
-        witness: Vec<Rational>,
-        stats: &mut SearchStats,
-    ) -> bool {
-        if depth == order.len() {
-            return true;
-        }
-        let g = order[depth];
-        let alts = &self.groups[g];
-        let mut alt_order: Vec<usize> = (0..alts.len()).collect();
-        alt_order.sort_by_key(|&a| {
-            let sat = alts[a].iter().all(|c| c.holds(&witness));
-            usize::from(!sat)
-        });
-        for a in alt_order {
-            chosen.push((g, a));
-            if let Some(w) = self.check(chosen, stats) {
-                if self.search_recording(order, depth + 1, chosen, w, stats) {
-                    return true;
-                }
-            } else {
-                stats.backtracks += 1;
-            }
-            chosen.pop();
-        }
-        false
-    }
-
     /// Solve, also returning search statistics.
     pub fn solve_with_stats(&self) -> (Option<Vec<Rational>>, SearchStats) {
         let mut stats = SearchStats::default();
-        // Root feasibility on the hard constraints alone.
-        let Some(witness) = self.check(&[], &mut stats) else {
+        let result = self.search_from_root(&mut Vec::new(), &mut stats);
+        (result, stats)
+    }
+
+    /// Check the hard constraints alone, then search every group. On
+    /// success `chosen` holds the winning branch.
+    fn search_from_root(
+        &self,
+        chosen: &mut Vec<(usize, usize)>,
+        stats: &mut SearchStats,
+    ) -> Option<Vec<Rational>> {
+        let Some(witness) = self.check(&[], stats) else {
             stats.backtracks += 1;
-            return (None, stats);
+            return None;
         };
         // Branch on groups with the fewest alternatives first: smaller
         // fan-out near the root keeps the tree narrow.
         let mut order: Vec<usize> = (0..self.groups.len()).collect();
         order.sort_by_key(|&g| self.groups[g].len());
-        let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(order.len());
-        let result = self.search(&order, 0, &mut chosen, witness, &mut stats);
-        (result, stats)
+        self.search(&order, 0, chosen, witness, stats)
     }
 
+    /// Depth-first search over `order[depth..]`. On success the winning
+    /// branch is left in `chosen`.
     fn search(
         &self,
         order: &[usize],
@@ -176,9 +137,8 @@ impl DisjunctiveProblem {
         None
     }
 
-    /// LP feasibility of hard constraints plus the chosen alternatives.
-    fn check(&self, chosen: &[(usize, usize)], stats: &mut SearchStats) -> Option<Vec<Rational>> {
-        stats.lp_calls += 1;
+    /// The LP of the hard constraints plus the chosen alternatives.
+    fn lp(&self, chosen: &[(usize, usize)]) -> LpProblem {
         let mut lp = LpProblem::new(self.num_vars);
         for c in &self.hard {
             lp.add(c.clone());
@@ -188,7 +148,13 @@ impl DisjunctiveProblem {
                 lp.add(c.clone());
             }
         }
-        match lp.feasible() {
+        lp
+    }
+
+    /// LP feasibility of hard constraints plus the chosen alternatives.
+    fn check(&self, chosen: &[(usize, usize)], stats: &mut SearchStats) -> Option<Vec<Rational>> {
+        stats.lp_calls += 1;
+        match self.lp(chosen).feasible() {
             LpResult::Feasible(w) => Some(w),
             LpResult::Infeasible => None,
         }

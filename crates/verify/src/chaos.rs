@@ -13,8 +13,9 @@
 //!   in a report that passes the differential harness's consistency
 //!   checks against the brute oracle;
 //! * **typed failure** — scripts marked [`Expectation::FailsTyped`]
-//!   must end in a [`SupervisedFailure`] carrying a typed
-//!   [`ExecError`] with backend/stage provenance;
+//!   must end in a [`SupervisedFailure`](nck_exec::SupervisedFailure)
+//!   carrying a typed [`ExecError`](nck_exec::ExecError) with
+//!   backend/stage provenance;
 //! * **journal completeness** — success or failure, the journal is
 //!   closed by a terminal event and records at least the attempts the
 //!   script forced.

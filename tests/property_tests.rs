@@ -3,7 +3,7 @@
 //! over fixed corpora instead, because every SMT compile costs tens of
 //! milliseconds to seconds in a debug build.
 
-use nck_compile::{compile, find_qubo, verify, CompilerOptions, ConstraintShape};
+use nck_compile::{compile, find_qubo, verify, CompilerOptions, ConstraintShape, GapMode};
 use nck_core::Program;
 use nck_qubo::{solve_exhaustive, Qubo};
 use rand::rngs::StdRng;
@@ -53,8 +53,12 @@ fn compiled_constraint_qubos_are_sound() {
             let shapes = &shapes;
             s.spawn(move || {
                 for shape in shapes.iter().skip(w).step_by(workers) {
-                    let compiled = find_qubo(shape, 3).expect("satisfiable shape must compile");
-                    assert!(verify(&compiled, shape), "invalid table for {shape:?}");
+                    let compiled = find_qubo(shape, GapMode::AtLeastOne)
+                        .expect("satisfiable shape must compile");
+                    assert!(
+                        verify(&compiled, shape, GapMode::AtLeastOne),
+                        "invalid table for {shape:?}"
+                    );
                 }
             });
         }
