@@ -364,7 +364,7 @@ impl GateModelDevice {
                     bits
                 } else {
                     // Depolarized shot: uniform random bits.
-                    rng.random::<u64>() & ((1u64 << n) - 1)
+                    rng.random::<u64>() & register_mask(n)
                 };
                 if self.noise.readout > 0.0 {
                     for q in 0..n {
@@ -379,6 +379,16 @@ impl GateModelDevice {
     }
 }
 
+/// The low `n` bits set: every bitstring of an `n`-qubit register,
+/// `n ≤ 64` (a plain `(1 << n) - 1` overflows at 64).
+fn register_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
 /// Sample from a Metropolis chain whose temperature is tuned (by
 /// bisection on a pilot chain) so the mean energy ≈ `target`.
 fn metropolis_matched(ising: &Ising, target: f64, shots: usize, rng: &mut StdRng) -> Vec<u64> {
@@ -389,7 +399,7 @@ fn metropolis_matched(ising: &Ising, target: f64, shots: usize, rng: &mut StdRng
         ising.energy(&spins)
     };
     let chain_mean = |beta: f64, rng: &mut StdRng| -> f64 {
-        let mut bits: u64 = rng.random::<u64>() & ((1u64 << n) - 1);
+        let mut bits: u64 = rng.random::<u64>() & register_mask(n);
         let mut e = energy(bits);
         let mut acc = 0.0;
         let steps = 40 * n;
@@ -420,7 +430,7 @@ fn metropolis_matched(ising: &Ising, target: f64, shots: usize, rng: &mut StdRng
     let beta = (lo + hi) / 2.0;
     // Production sampling: one chain, one sample per interval.
     let mut out = Vec::with_capacity(shots);
-    let mut bits: u64 = rng.random::<u64>() & ((1u64 << n) - 1);
+    let mut bits: u64 = rng.random::<u64>() & register_mask(n);
     let mut e = energy(bits);
     let burn = 20 * n;
     let stride = n.max(8);
@@ -532,6 +542,21 @@ mod tests {
             Err(QaoaError::TooLargeToSimulate { .. }) => {}
             other => panic!("expected TooLargeToSimulate, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn sixty_four_qubit_instance_samples_the_full_register() {
+        // The packed sampler's limit: depolarized shots and Metropolis
+        // starts draw from all 64 bits without shifting out of range.
+        let mut q = Qubo::new(64);
+        for i in 0..64 {
+            q.add_quadratic(i, (i + 1) % 64, 1.0);
+        }
+        let dev = GateModelDevice::ibmq_brooklyn();
+        let run = dev.run_qaoa(&q, 1, 64, 10, 5).unwrap();
+        assert_eq!(run.qubits_used, 64);
+        assert_eq!(run.best_assignment.len(), 64);
+        assert!(run.best_energy.is_finite());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 
 use crate::closed::closed_form;
 use crate::error::CompileError;
-use crate::search::{find_qubo, verify, CompiledQubo, ConstraintShape, GapMode};
+use crate::search::{
+    find_qubo, verify, CompiledQubo, ConstraintShape, GapMode, MAX_ENUMERATED_VARS,
+};
 use nck_core::{CompileKey, Constraint, Program, Var};
 use nck_qubo::Qubo;
 use nck_smt::Rational;
@@ -140,6 +142,14 @@ fn compile_shape(
     opts: &CompilerOptions,
     mode: GapMode,
 ) -> Result<(CompiledQubo, bool), CompileError> {
+    // A soft table's flat gap and worst-case penalty are checked over
+    // every assignment, so a soft shape must stay enumerable.
+    if mode == GapMode::ExactlyOne && shape.num_vars() > MAX_ENUMERATED_VARS {
+        return Err(CompileError::SoftTooWide {
+            vars: shape.num_vars(),
+            limit: MAX_ENUMERATED_VARS,
+        });
+    }
     // An unsatisfiable shape goes on to `find_qubo`, which rejects it.
     if opts.use_closed_forms && shape.satisfiable() {
         if let Some(q) = closed_form(shape) {
@@ -380,6 +390,21 @@ mod tests {
             assert_eq!(compiled.num_ancillas, 0);
             assert_eq!(compiled.stats.closed_form_hits, 1);
         }
+    }
+
+    #[test]
+    fn wide_soft_constraint_is_a_typed_error() {
+        // A soft penalty over 64 variables cannot be checked by
+        // enumeration; it must not compile to an unchecked table (one
+        // with hard weight 1 lets a hard violation tie the optimum).
+        let mut p = Program::new();
+        let vs = p.new_vars("v", 64).unwrap();
+        p.nck(vec![vs[0]], [1]).unwrap();
+        p.nck_soft(vs, [0]).unwrap();
+        assert_eq!(
+            compile(&p, &opts()).unwrap_err(),
+            CompileError::SoftTooWide { vars: 64, limit: 63 }
+        );
     }
 
     #[test]

@@ -16,6 +16,15 @@ pub enum CompileError {
         /// Human-readable shape description.
         shape: String,
     },
+    /// A soft constraint spans more distinct variables than its flat
+    /// penalty can be checked over: a soft table is verified, and its
+    /// worst-case penalty found, by enumerating every assignment.
+    SoftTooWide {
+        /// Distinct variables in the constraint.
+        vars: usize,
+        /// Most distinct variables a soft constraint may have.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -26,6 +35,12 @@ impl fmt::Display for CompileError {
             }
             CompileError::NoQuboFound { ancillas_tried, shape } => {
                 write!(f, "no QUBO found for shape {shape} with up to {ancillas_tried} ancillas")
+            }
+            CompileError::SoftTooWide { vars, limit } => {
+                write!(
+                    f,
+                    "soft constraint over {vars} distinct variables exceeds the limit of {limit}"
+                )
             }
         }
     }
@@ -42,5 +57,7 @@ mod tests {
         let e = CompileError::NoQuboFound { ancillas_tried: 3, shape: "[1,1]/{1}".into() };
         assert!(e.to_string().contains("up to 3 ancillas"));
         assert!(CompileError::Unsatisfiable("x".into()).to_string().contains("unsatisfiable"));
+        let e = CompileError::SoftTooWide { vars: 64, limit: 63 };
+        assert!(e.to_string().contains("64 distinct variables"));
     }
 }

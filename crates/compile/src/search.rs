@@ -20,7 +20,10 @@
 //!   fallback for small shapes when the symmetric ansatz fails.
 //!
 //! Ancillas escalate 0, 1, 2, … up to [`MAX_ANCILLAS`]; the first hit
-//! wins, so the ancilla count is minimal for the modes tried.
+//! wins, so the ancilla count is minimal for the modes tried. Within a
+//! hit the table is the search's feasibility witness, just as the
+//! paper's compiler takes whichever model Z3 returns: no objective
+//! ranks the valid tables, so coefficient size is not minimized.
 
 use crate::error::CompileError;
 use crate::rqubo::RationalQubo;
@@ -29,6 +32,10 @@ use std::collections::BTreeSet;
 
 /// Maximum number of ancilla variables the search will try.
 pub const MAX_ANCILLAS: u32 = 3;
+
+/// Most real variables that [`verify`] and [`CompiledQubo::max_penalty`]
+/// can check: both walk every assignment as a `u64` bitmask.
+pub const MAX_ENUMERATED_VARS: usize = 63;
 
 /// Largest `variables + ancillas` for which the general (asymmetric)
 /// fallback enumerates raw assignments.
@@ -175,17 +182,14 @@ pub fn find_qubo(shape: &ConstraintShape, mode: GapMode) -> Result<CompiledQubo,
 /// its energy under each ancilla setting. A satisfying class needs
 /// E ≥ 0 everywhere and E = 0 for some ancilla setting; a violating
 /// class needs E ≥ 1 everywhere and, under [`GapMode::ExactlyOne`],
-/// E = 1 for some setting. The witness is polished to an L1-minimal
-/// table within the branch found (smaller coefficients mean better
-/// hardware dynamic range and tables closer to handcrafted ones).
+/// E = 1 for some setting. The table is the search's feasibility
+/// witness, as Z3's satisfying assignment is in the paper.
 fn solve_coefficients(
     num_unknowns: usize,
     mode: GapMode,
     rows: impl Iterator<Item = (bool, Vec<LinExpr>)>,
 ) -> Option<Vec<Rational>> {
-    // Twice the unknowns: unknowns [num_unknowns..2·num_unknowns) are
-    // the t_k ≥ |x_k| of the L1 objective.
-    let mut problem = DisjunctiveProblem::new(2 * num_unknowns);
+    let mut problem = DisjunctiveProblem::new(num_unknowns);
     for (satisfying, energies) in rows {
         // One ancilla setting must sit exactly on the bound.
         let tight = satisfying || mode == GapMode::ExactlyOne;
@@ -203,19 +207,7 @@ fn solve_coefficients(
             problem.require_any(witnesses);
         }
     }
-    let mut objective = LinExpr::zero();
-    for k in 0..num_unknowns {
-        let t = num_unknowns + k;
-        // t − x ≥ 0 and t + x ≥ 0.
-        let mut ge_pos = LinExpr::var(t);
-        ge_pos.add_term(k, -Rational::one());
-        problem.require(LinConstraint::new(ge_pos, Relation::Ge));
-        let mut ge_neg = LinExpr::var(t);
-        ge_neg.add_term(k, Rational::one());
-        problem.require(LinConstraint::new(ge_neg, Relation::Ge));
-        objective.add_term(t, Rational::one());
-    }
-    problem.solve_minimizing(&objective)
+    problem.solve()
 }
 
 // ---------------------------------------------------------------------
@@ -599,14 +591,14 @@ mod tests {
     }
 
     #[test]
-    fn l1_polish_small_coefficients() {
+    fn xor_table_coefficients_stay_small() {
         // The XOR table's known hand-derived coefficient profile has
-        // magnitudes {1, 2, 4}; the L1 polish must not exceed that
-        // scale (an unpolished witness can be much larger).
+        // magnitudes {1, 2, 4} (§VI-C); the search's witness must not
+        // exceed that scale.
         let s = shape(&[1, 1, 1], &[0, 2]);
         let c = find_qubo(&s, GapMode::AtLeastOne).unwrap();
         let max = c.qubo.to_f64().max_abs_coeff();
-        assert!(max <= 4.0 + 1e-9, "polished XOR coefficient {max} too large");
+        assert!(max <= 4.0 + 1e-9, "XOR coefficient {max} too large");
     }
 
     #[test]

@@ -170,34 +170,12 @@ fn dual_rail_clauses() -> Program {
 #[test]
 fn compiled_tables_match_the_pinned_digest() {
     let opts = CompilerOptions::default();
-    // Each shape is an independent compile, a second or more for the
-    // ancilla shapes in a debug build: deal them out over the cores.
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut compiled: Vec<Option<CompiledProgram>> = vec![None; SHAPES.len()];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let opts = &opts;
-                s.spawn(move || {
-                    (w..SHAPES.len())
-                        .step_by(workers)
-                        .map(|i| (i, compile(&one_constraint_program(&SHAPES[i]), opts)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, result) in handle.join().unwrap() {
-                let shape = &SHAPES[i];
-                compiled[i] = Some(result.unwrap_or_else(|e| panic!("{shape:?}: {e}")));
-            }
-        }
-    });
     let mut h = Fnv::new();
-    for (shape, program) in SHAPES.iter().zip(&compiled) {
-        let program = program.as_ref().unwrap();
+    for shape in SHAPES {
+        let program = compile(&one_constraint_program(shape), &opts)
+            .unwrap_or_else(|e| panic!("{shape:?}: {e}"));
         assert_eq!(program.placements.len(), 1, "{shape:?}");
-        hash_table(&mut h, program);
+        hash_table(&mut h, &program);
     }
     for program in [weighted_vertex_cover(), dual_rail_clauses()] {
         hash_qubo(&mut h, &compile(&program, &opts).unwrap().qubo);

@@ -11,9 +11,11 @@
 //! ground energy". This is the QF_LRA fragment Z3 solves for the paper's
 //! compiler. We solve it with a depth-first search over one alternative
 //! per group, using the exact simplex ([`crate::simplex`]) as the theory
-//! oracle at every node, with witness-guided alternative ordering.
+//! oracle at every node, with witness-guided alternative ordering. The
+//! answer is the feasibility witness of the first branch that closes —
+//! *a* model, as Z3 returns one, not an optimum over branches.
 
-use crate::linexpr::{LinConstraint, LinExpr};
+use crate::linexpr::LinConstraint;
 use crate::rational::Rational;
 use crate::simplex::{LpProblem, LpResult};
 
@@ -63,46 +65,23 @@ impl DisjunctiveProblem {
         self.solve_with_stats().0
     }
 
-    /// Solve, then polish the witness by minimizing `objective` within
-    /// the satisfied branch (the chosen alternatives are kept fixed;
-    /// this is a local optimum across branches, which is what the QUBO
-    /// compiler wants — any valid table, with small coefficients).
-    pub fn solve_minimizing(&self, objective: &LinExpr) -> Option<Vec<Rational>> {
-        let mut chosen = Vec::new();
-        self.search_from_root(&mut chosen, &mut SearchStats::default())?;
-        match self.lp(&chosen).minimize(objective) {
-            LpResult::Feasible(w) => Some(w),
-            LpResult::Infeasible => None,
-        }
-    }
-
     /// Solve, also returning search statistics.
     pub fn solve_with_stats(&self) -> (Option<Vec<Rational>>, SearchStats) {
         let mut stats = SearchStats::default();
-        let result = self.search_from_root(&mut Vec::new(), &mut stats);
-        (result, stats)
-    }
-
-    /// Check the hard constraints alone, then search every group. On
-    /// success `chosen` holds the winning branch.
-    fn search_from_root(
-        &self,
-        chosen: &mut Vec<(usize, usize)>,
-        stats: &mut SearchStats,
-    ) -> Option<Vec<Rational>> {
-        let Some(witness) = self.check(&[], stats) else {
+        let Some(witness) = self.check(&[], &mut stats) else {
             stats.backtracks += 1;
-            return None;
+            return (None, stats);
         };
         // Branch on groups with the fewest alternatives first: smaller
         // fan-out near the root keeps the tree narrow.
         let mut order: Vec<usize> = (0..self.groups.len()).collect();
         order.sort_by_key(|&g| self.groups[g].len());
-        self.search(&order, 0, chosen, witness, stats)
+        let result = self.search(&order, 0, &mut Vec::new(), witness, &mut stats);
+        (result, stats)
     }
 
-    /// Depth-first search over `order[depth..]`. On success the winning
-    /// branch is left in `chosen`.
+    /// Depth-first search over `order[depth..]`, with `chosen` holding
+    /// the alternatives picked for `order[..depth]`.
     fn search(
         &self,
         order: &[usize],
@@ -137,8 +116,9 @@ impl DisjunctiveProblem {
         None
     }
 
-    /// The LP of the hard constraints plus the chosen alternatives.
-    fn lp(&self, chosen: &[(usize, usize)]) -> LpProblem {
+    /// LP feasibility of hard constraints plus the chosen alternatives.
+    fn check(&self, chosen: &[(usize, usize)], stats: &mut SearchStats) -> Option<Vec<Rational>> {
+        stats.lp_calls += 1;
         let mut lp = LpProblem::new(self.num_vars);
         for c in &self.hard {
             lp.add(c.clone());
@@ -148,13 +128,7 @@ impl DisjunctiveProblem {
                 lp.add(c.clone());
             }
         }
-        lp
-    }
-
-    /// LP feasibility of hard constraints plus the chosen alternatives.
-    fn check(&self, chosen: &[(usize, usize)], stats: &mut SearchStats) -> Option<Vec<Rational>> {
-        stats.lp_calls += 1;
-        match self.lp(chosen).feasible() {
+        match lp.feasible() {
             LpResult::Feasible(w) => Some(w),
             LpResult::Infeasible => None,
         }

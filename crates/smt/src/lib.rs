@@ -12,8 +12,8 @@
 //! * [`rational::Rational`] — normalized exact rationals.
 //! * [`linexpr`] — linear expressions and constraints over rational
 //!   variables.
-//! * [`simplex`] — exact two-phase primal simplex (Bland's rule), used
-//!   for feasibility with witness extraction.
+//! * [`simplex`] — exact phase-1 primal simplex (Bland's rule): a
+//!   feasibility check with witness extraction.
 //! * [`dpll`] — depth-first search over disjunction groups with the
 //!   simplex as theory oracle (a miniature DPLL(LRA)).
 //!

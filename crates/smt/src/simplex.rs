@@ -1,12 +1,13 @@
-//! Exact two-phase primal simplex over rationals.
+//! Exact phase-1 primal simplex over rationals.
 //!
 //! Used as the theory solver of the DPLL search in [`crate::dpll`]:
 //! every node asks "is this conjunction of linear constraints over the
-//! reals feasible, and if so give me a witness". Exact arithmetic with
+//! reals feasible, and if so give me a witness". Phase 1 answers both;
+//! there is no objective, so there is no phase 2. Exact arithmetic with
 //! Bland's anti-cycling rule makes both answers trustworthy, which is
 //! what lets the QUBO compiler *prove* its coefficient tables correct.
 
-use crate::linexpr::{LinConstraint, LinExpr, Relation};
+use crate::linexpr::{LinConstraint, Relation};
 use crate::rational::Rational;
 
 /// Result of an LP solve.
@@ -18,8 +19,7 @@ pub enum LpResult {
     Infeasible,
 }
 
-/// A feasibility/optimization problem over `num_vars` free rational
-/// variables.
+/// A feasibility problem over `num_vars` free rational variables.
 #[derive(Clone, Debug, Default)]
 pub struct LpProblem {
     num_vars: usize,
@@ -52,34 +52,8 @@ impl LpProblem {
 
     /// Solve for feasibility. Returns a witness on success.
     pub fn feasible(&self) -> LpResult {
-        match Tableau::build(self).phase1() {
-            Phase1::Feasible(t) => LpResult::Feasible(t.witness()),
-            Phase1::Infeasible => LpResult::Infeasible,
-        }
+        Tableau::build(self).phase1()
     }
-
-    /// Minimize a linear `objective` subject to the constraints.
-    /// Returns an optimal witness; on an unbounded objective, returns
-    /// the current feasible witness (callers here only minimize
-    /// norm-like objectives that are bounded below).
-    pub fn minimize(&self, objective: &LinExpr) -> LpResult {
-        if let Some(m) = objective.max_var() {
-            assert!(m < self.num_vars, "objective mentions variable {m} out of range");
-        }
-        match Tableau::build(self).phase1() {
-            Phase1::Feasible(mut t) => {
-                t.phase2(objective);
-                LpResult::Feasible(t.witness())
-            }
-            Phase1::Infeasible => LpResult::Infeasible,
-        }
-    }
-}
-
-/// Internal phase-1 outcome.
-enum Phase1 {
-    Feasible(Tableau),
-    Infeasible,
 }
 
 /// Dense simplex tableau. Free variables are split `x = p − n` with
@@ -141,9 +115,10 @@ impl Tableau {
         Tableau { rows, basis, ncols, art_start, num_free: nv }
     }
 
-    /// Phase-1 simplex: minimize the sum of artificial variables.
+    /// Phase-1 simplex: minimize the sum of artificial variables. The
+    /// constraints are feasible iff that minimum is 0.
     #[allow(clippy::needless_range_loop)] // tableau columns are index-coupled
-    fn phase1(mut self) -> Phase1 {
+    fn phase1(mut self) -> LpResult {
         // Reduced-cost row for cost vector c (1 on artificials, 0 else),
         // relative to the artificial basis: z[j] = c[j] − Σ_r rows[r][j].
         let mut z = vec![Rational::zero(); self.ncols + 1];
@@ -184,7 +159,7 @@ impl Tableau {
             let Some(pr) = pivot_row else {
                 // Unbounded phase-1 objective cannot happen (bounded below
                 // by 0); defensively treat as infeasible.
-                return Phase1::Infeasible;
+                return LpResult::Infeasible;
             };
             self.pivot(pr, e, &mut z);
         }
@@ -194,63 +169,10 @@ impl Tableau {
         // level.
         for r in 0..self.rows.len() {
             if self.basis[r] >= self.art_start && self.rows[r][self.ncols].is_positive() {
-                return Phase1::Infeasible;
+                return LpResult::Infeasible;
             }
         }
-        Phase1::Feasible(self)
-    }
-
-    /// Phase-2 simplex: minimize `objective` from the phase-1 feasible
-    /// basis, never letting artificial variables re-enter. Stops at
-    /// optimality or (defensively) on an unbounded direction.
-    #[allow(clippy::needless_range_loop)] // tableau columns are index-coupled
-    fn phase2(&mut self, objective: &LinExpr) {
-        // Cost vector over the split representation: c[p_i] = obj_i,
-        // c[n_i] = −obj_i, slacks 0, artificials barred.
-        let mut cost = vec![Rational::zero(); self.ncols + 1];
-        for (x, coeff) in objective.terms() {
-            cost[x] = coeff.clone();
-            cost[self.num_free + x] = -coeff;
-        }
-        // Reduced costs: z[j] = c[j] − Σ_r c[basis_r]·rows[r][j].
-        let mut z = cost.clone();
-        for r in 0..self.rows.len() {
-            let cb = cost[self.basis[r]].clone();
-            if cb.is_zero() {
-                continue;
-            }
-            for j in 0..=self.ncols {
-                let adj = &cb * &self.rows[r][j];
-                z[j] -= &adj;
-            }
-        }
-        loop {
-            let entering = (0..self.art_start).find(|&j| z[j].is_negative());
-            let Some(e) = entering else { break };
-            let mut pivot_row: Option<usize> = None;
-            let mut best: Option<Rational> = None;
-            for r in 0..self.rows.len() {
-                if !self.rows[r][e].is_positive() {
-                    continue;
-                }
-                let ratio = &self.rows[r][self.ncols] / &self.rows[r][e];
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        ratio < *b
-                            || (ratio == *b && self.basis[r] < self.basis[pivot_row.unwrap()])
-                    }
-                };
-                if better {
-                    best = Some(ratio);
-                    pivot_row = Some(r);
-                }
-            }
-            let Some(pr) = pivot_row else {
-                break; // unbounded direction: keep the current vertex
-            };
-            self.pivot(pr, e, &mut z);
-        }
+        LpResult::Feasible(self.witness())
     }
 
     /// Extract the witness `x = p − n` from the current basis.
@@ -411,61 +333,6 @@ mod tests {
         p.add(con(&[(0, 1), (1, 1), (2, 1)], -3, Relation::Eq));
         let w = check_witness(&p);
         assert_eq!(&(&(&w[0] + &w[1]) + &w[2]), &r(3, 1));
-    }
-
-    #[test]
-    fn minimize_simple_objective() {
-        // x ≥ 3, minimize x  =>  x = 3.
-        let mut p = LpProblem::new(1);
-        p.add(con(&[(0, 1)], 3, Relation::Ge)); // wrong sign check below
-                                                // expr = x + 3 ≥ 0 means x ≥ −3; build properly: x − 3 ≥ 0
-        let mut p = LpProblem::new(1);
-        p.add(con(&[(0, 1)], -3, Relation::Ge));
-        match p.minimize(&LinExpr::var(0)) {
-            LpResult::Feasible(w) => assert_eq!(w[0], r(3, 1)),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn minimize_l1_norm_with_aux() {
-        // Find x with x0 + x1 = 2 minimizing |x0| + |x1| via aux vars
-        // t_i ≥ ±x_i: optimum value 2 (any split), each |x_i| = t_i.
-        let mut p = LpProblem::new(4); // x0, x1, t0, t1
-        p.add(con(&[(0, 1), (1, 1)], -2, Relation::Eq));
-        for i in 0..2 {
-            p.add(con(&[(2 + i, 1), (i, -1)], 0, Relation::Ge)); // t ≥ x
-            p.add(con(&[(2 + i, 1), (i, 1)], 0, Relation::Ge)); // t ≥ −x
-        }
-        let mut obj = LinExpr::var(2);
-        obj.add_term(3, r(1, 1));
-        match p.minimize(&obj) {
-            LpResult::Feasible(w) => {
-                let l1 = &w[2] + &w[3];
-                assert_eq!(l1, r(2, 1), "L1 optimum is 2, got {l1} at {w:?}");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn minimize_on_infeasible_reports_infeasible() {
-        let mut p = LpProblem::new(1);
-        p.add(con(&[(0, 1)], -3, Relation::Ge));
-        p.add(con(&[(0, 1)], 2, Relation::Le));
-        assert_eq!(p.minimize(&LinExpr::var(0)), LpResult::Infeasible);
-    }
-
-    #[test]
-    fn minimize_negative_region() {
-        // x ≤ −1, x ≥ −5: minimize −x  =>  x = −5... minimize x => −5.
-        let mut p = LpProblem::new(1);
-        p.add(con(&[(0, 1)], 1, Relation::Le));
-        p.add(con(&[(0, 1)], 5, Relation::Ge));
-        match p.minimize(&LinExpr::var(0)) {
-            LpResult::Feasible(w) => assert_eq!(w[0], r(-5, 1)),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property sweeps over the core pipeline invariants. Random inputs
 //! come from `StdRng::seed_from_u64(case)`; the compiler properties run
-//! over fixed corpora instead, because every SMT compile costs tens of
-//! milliseconds to seconds in a debug build.
+//! over fixed corpora instead, because an SMT compile that needs an
+//! ancilla costs a tenth of a second to seconds in a debug build.
 
 use nck_compile::{compile, find_qubo, verify, CompilerOptions, ConstraintShape, GapMode};
 use nck_core::Program;
@@ -45,24 +45,11 @@ fn shape_corpus() -> Vec<ConstraintShape> {
 fn compiled_constraint_qubos_are_sound() {
     let shapes = shape_corpus();
     assert_eq!(shapes.len(), 46 + 3);
-    // Each shape is an independent SMT search, seconds long for the
-    // ancilla shapes in a debug build: deal them out over the cores.
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let shapes = &shapes;
-            s.spawn(move || {
-                for shape in shapes.iter().skip(w).step_by(workers) {
-                    let compiled = find_qubo(shape, GapMode::AtLeastOne)
-                        .expect("satisfiable shape must compile");
-                    assert!(
-                        verify(&compiled, shape, GapMode::AtLeastOne),
-                        "invalid table for {shape:?}"
-                    );
-                }
-            });
-        }
-    });
+    for shape in &shapes {
+        let compiled =
+            find_qubo(shape, GapMode::AtLeastOne).expect("satisfiable shape must compile");
+        assert!(verify(&compiled, shape, GapMode::AtLeastOne), "invalid table for {shape:?}");
+    }
 }
 
 /// QUBO ↔ Ising round trip preserves energies on every assignment.
