@@ -3,12 +3,9 @@
 //! Ground truth for tests and for classifying backend samples on small
 //! instances: enumerate all assignments, keep those satisfying every
 //! hard constraint, and maximize the number of satisfied soft
-//! constraints. The assignment space is split into chunks and the
-//! per-chunk results reduced; the vendored `rayon` stand-in runs the
-//! chunks one after another.
+//! constraints, in one pass over the assignments in ascending order.
 
 use nck_core::Program;
-use rayon::prelude::*;
 
 /// Result of a brute-force solve.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,42 +31,28 @@ impl BruteResult {
 pub fn solve_brute(program: &Program) -> Option<BruteResult> {
     let n = program.num_vars();
     assert!(n <= 30, "brute force limited to 30 variables, got {n}");
-    let total = 1u64 << n;
-    let chunk = (total / (rayon::current_num_threads() as u64 * 8)).max(1024);
-    let num_chunks = total.div_ceil(chunk);
-    let locals: Vec<(u64, Vec<u64>)> = (0..num_chunks)
-        .into_par_iter()
-        .filter_map(|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(total);
-            let mut best: Option<u64> = None;
-            let mut optima = Vec::new();
-            let mut x = vec![false; n];
-            for bits in lo..hi {
-                for (i, xi) in x.iter_mut().enumerate() {
-                    *xi = bits >> i & 1 == 1;
-                }
-                if !program.all_hard_satisfied(&x) {
-                    continue;
-                }
-                let soft = program.evaluate(&x).soft_weight_satisfied;
-                match best {
-                    Some(b) if soft < b => {}
-                    Some(b) if soft == b => optima.push(bits),
-                    _ => {
-                        best = Some(soft);
-                        optima.clear();
-                        optima.push(bits);
-                    }
-                }
+    let mut best: Option<u64> = None;
+    let mut optima = Vec::new();
+    let mut x = vec![false; n];
+    for bits in 0..1u64 << n {
+        for (i, xi) in x.iter_mut().enumerate() {
+            *xi = bits >> i & 1 == 1;
+        }
+        if !program.all_hard_satisfied(&x) {
+            continue;
+        }
+        let soft = program.evaluate(&x).soft_weight_satisfied;
+        match best {
+            Some(b) if soft < b => {}
+            Some(b) if soft == b => optima.push(bits),
+            _ => {
+                best = Some(soft);
+                optima.clear();
+                optima.push(bits);
             }
-            best.map(|b| (b, optima))
-        })
-        .collect();
-    let max_soft = locals.iter().map(|(b, _)| *b).max()?;
-    let mut optima: Vec<u64> =
-        locals.into_iter().filter(|(b, _)| *b == max_soft).flat_map(|(_, o)| o).collect();
-    optima.sort_unstable();
+        }
+    }
+    let max_soft = best?;
     Some(BruteResult { max_soft, optima })
 }
 

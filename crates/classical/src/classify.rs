@@ -31,36 +31,6 @@ impl OptimalityOracle {
             Some(max_soft) => program.evaluate(assignment).classify(max_soft),
         }
     }
-
-    /// Classify a batch and return the best quality found — the
-    /// annealer-style success criterion ("the problem is considered
-    /// solved correctly if any of the hundred solutions returned is
-    /// optimal", §VIII-B).
-    pub fn best_of<'a>(
-        &self,
-        program: &Program,
-        samples: impl IntoIterator<Item = &'a [bool]>,
-    ) -> Option<SolutionQuality> {
-        samples.into_iter().map(|s| self.classify(program, s)).max()
-    }
-
-    /// Fraction of samples at each quality: `(optimal, suboptimal,
-    /// incorrect)` counts.
-    pub fn tally<'a>(
-        &self,
-        program: &Program,
-        samples: impl IntoIterator<Item = &'a [bool]>,
-    ) -> (usize, usize, usize) {
-        let mut t = (0, 0, 0);
-        for s in samples {
-            match self.classify(program, s) {
-                SolutionQuality::Optimal => t.0 += 1,
-                SolutionQuality::Suboptimal => t.1 += 1,
-                SolutionQuality::Incorrect => t.2 += 1,
-            }
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -96,17 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn best_of_samples() {
-        let p = vertex_cover_program();
-        let oracle = OptimalityOracle::build(&p);
-        let samples: Vec<Vec<bool>> =
-            vec![vec![false; 5], vec![true; 5], vec![false, true, true, true, false]];
-        let best = oracle.best_of(&p, samples.iter().map(Vec::as_slice)).unwrap();
-        assert_eq!(best, SolutionQuality::Optimal);
-        assert_eq!(oracle.tally(&p, samples.iter().map(Vec::as_slice)), (1, 1, 1));
-    }
-
-    #[test]
     fn unsatisfiable_program_everything_incorrect() {
         let mut p = Program::new();
         let a = p.new_var("a").unwrap();
@@ -116,12 +75,5 @@ mod tests {
         assert_eq!(oracle.max_soft, None);
         assert_eq!(oracle.classify(&p, &[true]), SolutionQuality::Incorrect);
         assert_eq!(oracle.classify(&p, &[false]), SolutionQuality::Incorrect);
-    }
-
-    #[test]
-    fn best_of_empty_is_none() {
-        let p = vertex_cover_program();
-        let oracle = OptimalityOracle::build(&p);
-        assert_eq!(oracle.best_of(&p, std::iter::empty()), None);
     }
 }

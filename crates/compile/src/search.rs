@@ -37,6 +37,13 @@ pub const MAX_ANCILLAS: u32 = 3;
 /// can check: both walk every assignment as a `u64` bitmask.
 pub const MAX_ENUMERATED_VARS: usize = 63;
 
+/// Most real variables for which [`find_qubo`] re-checks its table with
+/// [`verify`] in debug builds. That walk visits all `2^num_real`
+/// assignments: it takes seconds near 16 variables and overflows the
+/// `u64` mask at 64. Every pinned and property-test shape has at most 5
+/// variables, so all of them stay re-checked.
+const DEBUG_VERIFY_LIMIT: usize = 12;
+
 /// Largest `variables + ancillas` for which the general (asymmetric)
 /// fallback enumerates raw assignments.
 const GENERAL_LIMIT: usize = 8;
@@ -167,7 +174,7 @@ pub fn find_qubo(shape: &ConstraintShape, mode: GapMode) -> Result<CompiledQubo,
     for a in 0..=MAX_ANCILLAS as usize {
         let found = search_symmetric(shape, a, mode).or_else(|| search_general(shape, a, mode));
         if let Some(c) = found {
-            debug_assert!(verify(&c, shape, mode));
+            debug_assert!(c.num_real > DEBUG_VERIFY_LIMIT || verify(&c, shape, mode));
             return Ok(c);
         }
     }
@@ -200,7 +207,7 @@ fn solve_coefficients(
             }
             problem.require(LinConstraint::new(e.clone(), Relation::Ge));
             if tight {
-                witnesses.push(vec![LinConstraint::new(e, Relation::Eq)]);
+                witnesses.push(LinConstraint::new(e, Relation::Eq));
             }
         }
         if tight {
@@ -599,6 +606,21 @@ mod tests {
         let c = find_qubo(&s, GapMode::AtLeastOne).unwrap();
         let max = c.qubo.to_f64().max_abs_coeff();
         assert!(max <= 4.0 + 1e-9, "XOR coefficient {max} too large");
+    }
+
+    #[test]
+    fn wide_shape_compiles_without_the_exhaustive_recheck() {
+        // nck(v0..v63, {0,1}) has no closed form; its 2^64 assignments
+        // are past what the debug re-check can walk.
+        let s = shape(&[1; 64], &[0, 1]);
+        let c = find_qubo(&s, GapMode::AtLeastOne).unwrap();
+        assert_eq!((c.num_real, c.num_ancillas), (64, 0));
+        for bits in [0, 1, 1 << 63] {
+            assert!(c.qubo.energy_bits(bits).is_zero());
+        }
+        for bits in [0b11, 1 << 5 | 1 << 40, u64::MAX] {
+            assert!(c.qubo.energy_bits(bits) >= Rational::one());
+        }
     }
 
     #[test]

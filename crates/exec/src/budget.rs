@@ -115,25 +115,6 @@ impl RetryPolicy {
         let jitter = self.jitter.clamp(0.0, 1.0);
         Duration::from_secs_f64(capped * (1.0 - jitter * u))
     }
-
-    /// The full backoff schedule for one rung, clamped so that the
-    /// *cumulative* scheduled backoff never exceeds `budget`'s
-    /// deadline: once the running total reaches the deadline the
-    /// remaining delays are truncated to zero (the run would be
-    /// cancelled before sleeping them anyway).
-    pub fn schedule(&self, budget: &RunBudget) -> Vec<Duration> {
-        let mut total = Duration::ZERO;
-        (0..self.retries_per_rung)
-            .map(|k| {
-                let mut d = self.delay(k);
-                if let Some(deadline) = budget.deadline {
-                    d = d.min(deadline.saturating_sub(total));
-                }
-                total += d;
-                d
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -162,21 +143,6 @@ mod tests {
         }
         let q = RetryPolicy { seed: 43, ..p };
         assert_ne!(p.delay(0), q.delay(0), "different seeds must jitter differently");
-    }
-
-    #[test]
-    fn schedule_respects_deadline() {
-        let p = RetryPolicy {
-            retries_per_rung: 8,
-            base: Duration::from_millis(50),
-            cap: Duration::from_secs(1),
-            jitter: 0.0,
-            seed: 1,
-        };
-        let b = RunBudget::with_deadline(Duration::from_millis(120));
-        let schedule = p.schedule(&b);
-        let total: Duration = schedule.iter().sum();
-        assert!(total <= Duration::from_millis(120), "total backoff {total:?} exceeds deadline");
     }
 
     /// Regression for the linear `seed ^ k·φ` mix: attempt `k` of seed

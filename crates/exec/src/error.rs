@@ -16,7 +16,6 @@
 use nck_anneal::AnnealError;
 use nck_circuit::QaoaError;
 use nck_compile::CompileError;
-use nck_qubo::QuboIoError;
 use nck_store::StoreError;
 use std::fmt;
 
@@ -104,8 +103,6 @@ pub enum ExecError {
     /// The durable run store failed (I/O error, corrupt file, or a
     /// simulated crash from the kill-point harness).
     Store(StoreError),
-    /// A `.qubo` input document failed to parse.
-    QuboIo(QuboIoError),
     /// A resume pointed at a run directory whose journal already ends
     /// in a terminal event; there is nothing left to execute.
     AlreadyFinished {
@@ -159,7 +156,6 @@ impl fmt::Display for ExecError {
                 write!(f, "run budget exhausted: {what}")
             }
             ExecError::Store(e) => write!(f, "durable store error: {e}"),
-            ExecError::QuboIo(e) => write!(f, "qubo input error: {e}"),
             ExecError::AlreadyFinished { dir } => {
                 write!(f, "run in {dir} already finished; nothing to resume")
             }
@@ -187,11 +183,6 @@ impl From<QaoaError> for ExecError {
 impl From<StoreError> for ExecError {
     fn from(e: StoreError) -> Self {
         ExecError::Store(e)
-    }
-}
-impl From<QuboIoError> for ExecError {
-    fn from(e: QuboIoError) -> Self {
-        ExecError::QuboIo(e)
     }
 }
 

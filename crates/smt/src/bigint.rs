@@ -334,22 +334,6 @@ impl BigInt {
             _ => v,
         }
     }
-
-    /// Exact conversion to `i64` if the value fits.
-    pub fn to_i64(&self) -> Option<i64> {
-        match self.mag.len() {
-            0 => Some(0),
-            1 => {
-                let m = self.mag[0];
-                match self.sign {
-                    Sign::Pos if m <= i64::MAX as u64 => Some(m as i64),
-                    Sign::Neg if m <= i64::MAX as u64 + 1 => Some((m as i64).wrapping_neg()),
-                    _ => None,
-                }
-            }
-            _ => None,
-        }
-    }
 }
 
 impl From<i64> for BigInt {
@@ -621,15 +605,6 @@ mod tests {
         let s = format!("{v}");
         assert_eq!(s.len(), 91); // (10^9)^10 has 91 digits
         assert!(s.starts_with('1'));
-    }
-
-    #[test]
-    fn to_i64_bounds() {
-        assert_eq!(bi(i64::MAX).to_i64(), Some(i64::MAX));
-        assert_eq!(bi(i64::MIN).to_i64(), Some(i64::MIN));
-        let over = &bi(i64::MAX) + &BigInt::one();
-        assert_eq!(over.to_i64(), None);
-        assert_eq!((-&over).to_i64(), Some(i64::MIN));
     }
 
     #[test]

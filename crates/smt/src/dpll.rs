@@ -4,20 +4,22 @@
 //!
 //! ```text
 //! (conjunction of linear constraints)
-//!   ∧  ⋀_groups ( alt₁ ∨ alt₂ ∨ … )     where each altᵢ is a conjunction
+//!   ∧  ⋀_groups ( alt₁ ∨ alt₂ ∨ … )     where each altᵢ is one constraint
 //! ```
 //!
 //! — "for every satisfying assignment, *some* ancilla setting attains the
 //! ground energy". This is the QF_LRA fragment Z3 solves for the paper's
 //! compiler. We solve it with a depth-first search over one alternative
-//! per group, using the exact simplex ([`crate::simplex`]) as the theory
-//! oracle at every node, with witness-guided alternative ordering. The
-//! answer is the feasibility witness of the first branch that closes —
-//! *a* model, as Z3 returns one, not an optimum over branches.
+//! per group, using the exact simplex ([`crate::simplex::feasible`]) as
+//! the theory oracle at every node, with witness-guided alternative
+//! ordering. Each node hands the simplex the hard rows and the chosen
+//! alternatives by reference; this is the one place an LP is assembled.
+//! The answer is the feasibility witness of the first branch that
+//! closes — *a* model, as Z3 returns one, not an optimum over branches.
 
 use crate::linexpr::LinConstraint;
 use crate::rational::Rational;
-use crate::simplex::{LpProblem, LpResult};
+use crate::simplex;
 
 /// A conjunction of linear constraints plus disjunction groups, each of
 /// which must have at least one satisfied alternative.
@@ -25,7 +27,7 @@ use crate::simplex::{LpProblem, LpResult};
 pub struct DisjunctiveProblem {
     num_vars: usize,
     hard: Vec<LinConstraint>,
-    groups: Vec<Vec<Vec<LinConstraint>>>,
+    groups: Vec<Vec<LinConstraint>>,
 }
 
 /// Search statistics for reporting and tests.
@@ -43,20 +45,15 @@ impl DisjunctiveProblem {
         DisjunctiveProblem { num_vars, hard: Vec::new(), groups: Vec::new() }
     }
 
-    /// Number of free variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
     /// Add a constraint that must always hold.
     pub fn require(&mut self, c: LinConstraint) {
         self.hard.push(c);
     }
 
-    /// Add a disjunction group: at least one alternative (a conjunction
-    /// of constraints) must hold. An empty alternative list makes the
-    /// problem unsatisfiable; an empty alternative is trivially true.
-    pub fn require_any(&mut self, alternatives: Vec<Vec<LinConstraint>>) {
+    /// Add a disjunction group: at least one alternative constraint
+    /// must hold. An empty alternative list makes the problem
+    /// unsatisfiable.
+    pub fn require_any(&mut self, alternatives: Vec<LinConstraint>) {
         self.groups.push(alternatives);
     }
 
@@ -98,10 +95,7 @@ impl DisjunctiveProblem {
         // Witness guidance: try alternatives the current witness already
         // satisfies first — they are very likely to stay feasible.
         let mut alt_order: Vec<usize> = (0..alts.len()).collect();
-        alt_order.sort_by_key(|&a| {
-            let sat = alts[a].iter().all(|c| c.holds(&witness));
-            usize::from(!sat)
-        });
+        alt_order.sort_by_key(|&a| usize::from(!alts[a].holds(&witness)));
         for a in alt_order {
             chosen.push((g, a));
             if let Some(w) = self.check(chosen, stats) {
@@ -119,19 +113,9 @@ impl DisjunctiveProblem {
     /// LP feasibility of hard constraints plus the chosen alternatives.
     fn check(&self, chosen: &[(usize, usize)], stats: &mut SearchStats) -> Option<Vec<Rational>> {
         stats.lp_calls += 1;
-        let mut lp = LpProblem::new(self.num_vars);
-        for c in &self.hard {
-            lp.add(c.clone());
-        }
-        for &(g, a) in chosen {
-            for c in &self.groups[g][a] {
-                lp.add(c.clone());
-            }
-        }
-        match lp.feasible() {
-            LpResult::Feasible(w) => Some(w),
-            LpResult::Infeasible => None,
-        }
+        let rows: Vec<&LinConstraint> =
+            self.hard.iter().chain(chosen.iter().map(|&(g, a)| &self.groups[g][a])).collect();
+        simplex::feasible(self.num_vars, &rows)
     }
 }
 
@@ -166,10 +150,7 @@ mod tests {
         let mut p = DisjunctiveProblem::new(1);
         p.require(con(&[(0, 1)], -1, Relation::Ge)); // x >= 1
                                                      // x = 0  OR  x = 5
-        p.require_any(vec![
-            vec![con(&[(0, 1)], 0, Relation::Eq)],
-            vec![con(&[(0, 1)], -5, Relation::Eq)],
-        ]);
+        p.require_any(vec![con(&[(0, 1)], 0, Relation::Eq), con(&[(0, 1)], -5, Relation::Eq)]);
         let w = p.solve().unwrap();
         assert_eq!(w[0], r(5));
     }
@@ -178,10 +159,7 @@ mod tests {
     fn unsat_when_all_alternatives_conflict() {
         let mut p = DisjunctiveProblem::new(1);
         p.require(con(&[(0, 1)], -10, Relation::Ge)); // x >= 10
-        p.require_any(vec![
-            vec![con(&[(0, 1)], 0, Relation::Eq)],
-            vec![con(&[(0, 1)], -5, Relation::Eq)],
-        ]);
+        p.require_any(vec![con(&[(0, 1)], 0, Relation::Eq), con(&[(0, 1)], -5, Relation::Eq)]);
         assert_eq!(p.solve(), None);
     }
 
@@ -193,29 +171,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_alternative_is_trivially_true() {
-        let mut p = DisjunctiveProblem::new(1);
-        p.require(con(&[(0, 1)], -3, Relation::Eq));
-        p.require_any(vec![vec![]]);
-        let w = p.solve().unwrap();
-        assert_eq!(w[0], r(3));
-    }
-
-    #[test]
     fn cross_group_interaction_requires_backtracking() {
         // x in {0, 5} and x in {5, 9}, plus x >= 1  =>  x = 5.
         // Witness guidance may first try x = 0 in group 1; the search
         // must backtrack through group choices to find the intersection.
         let mut p = DisjunctiveProblem::new(1);
         p.require(con(&[(0, 1)], -1, Relation::Ge));
-        p.require_any(vec![
-            vec![con(&[(0, 1)], 0, Relation::Eq)],
-            vec![con(&[(0, 1)], -5, Relation::Eq)],
-        ]);
-        p.require_any(vec![
-            vec![con(&[(0, 1)], -9, Relation::Eq)],
-            vec![con(&[(0, 1)], -5, Relation::Eq)],
-        ]);
+        p.require_any(vec![con(&[(0, 1)], 0, Relation::Eq), con(&[(0, 1)], -5, Relation::Eq)]);
+        p.require_any(vec![con(&[(0, 1)], -9, Relation::Eq), con(&[(0, 1)], -5, Relation::Eq)]);
         let (w, stats) = p.solve_with_stats();
         assert_eq!(w.unwrap()[0], r(5));
         assert!(stats.lp_calls >= 3);
@@ -223,12 +186,12 @@ mod tests {
 
     #[test]
     fn multi_variable_groups() {
-        // y = x + 1; (x = 0 ∧ y = 1) OR (x = 2 ∧ y = 0)
+        // y = x + 1; (y = x) OR (x + y = 1)  =>  x = 0, y = 1
         let mut p = DisjunctiveProblem::new(2);
         p.require(con(&[(1, 1), (0, -1)], -1, Relation::Eq));
         p.require_any(vec![
-            vec![con(&[(0, 1)], 0, Relation::Eq), con(&[(1, 1)], -1, Relation::Eq)],
-            vec![con(&[(0, 1)], -2, Relation::Eq), con(&[(1, 1)], 0, Relation::Eq)],
+            con(&[(1, 1), (0, -1)], 0, Relation::Eq),
+            con(&[(0, 1), (1, 1)], -1, Relation::Eq),
         ]);
         let w = p.solve().unwrap();
         assert_eq!(w, vec![r(0), r(1)]);
@@ -238,10 +201,7 @@ mod tests {
     fn stats_count_backtracks() {
         let mut p = DisjunctiveProblem::new(1);
         p.require(con(&[(0, 1)], -10, Relation::Ge));
-        p.require_any(vec![
-            vec![con(&[(0, 1)], 0, Relation::Eq)],
-            vec![con(&[(0, 1)], -5, Relation::Eq)],
-        ]);
+        p.require_any(vec![con(&[(0, 1)], 0, Relation::Eq), con(&[(0, 1)], -5, Relation::Eq)]);
         let (res, stats) = p.solve_with_stats();
         assert!(res.is_none());
         assert!(stats.backtracks >= 2);

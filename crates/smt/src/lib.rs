@@ -4,7 +4,8 @@
 //! solver. This crate is the substrate that replaces the Z3 SMT solver
 //! in the NchooseK paper's QUBO compiler: per-constraint QUBO
 //! coefficients are found by solving a system of exact linear
-//! (in)equalities with disjunctions over ancilla-variable settings.
+//! (in)equalities with disjunctions over ancilla-variable settings. It
+//! carries only the fragment that compiler asks for.
 //!
 //! Layers, bottom to top:
 //!
@@ -12,10 +13,12 @@
 //! * [`rational::Rational`] — normalized exact rationals.
 //! * [`linexpr`] — linear expressions and constraints over rational
 //!   variables.
-//! * [`simplex`] — exact phase-1 primal simplex (Bland's rule): a
-//!   feasibility check with witness extraction.
-//! * [`dpll`] — depth-first search over disjunction groups with the
-//!   simplex as theory oracle (a miniature DPLL(LRA)).
+//! * [`simplex`] — exact phase-1 primal simplex (Bland's rule):
+//!   [`simplex::feasible`], a feasibility check with witness
+//!   extraction over borrowed rows, is the one LP entry.
+//! * [`dpll`] — depth-first search over disjunction groups, each a
+//!   choice of one constraint, with the simplex as theory oracle (a
+//!   miniature DPLL(LRA)).
 //!
 //! All reasoning is exact; `f64` appears only in lossy reporting
 //! conversions.
@@ -32,4 +35,3 @@ pub use bigint::BigInt;
 pub use dpll::{DisjunctiveProblem, SearchStats};
 pub use linexpr::{LinConstraint, LinExpr, Relation};
 pub use rational::Rational;
-pub use simplex::{LpProblem, LpResult};

@@ -2,7 +2,6 @@
 
 use crate::rational::Rational;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// A linear expression `Σ cᵢ·xᵢ + constant` over variables identified
 /// by `usize` indices. Terms are kept sorted and coalesced.
@@ -47,17 +46,6 @@ impl LinExpr {
         self.constant += c;
     }
 
-    /// Add another expression scaled by `k`.
-    pub fn add_scaled(&mut self, other: &LinExpr, k: &Rational) {
-        if k.is_zero() {
-            return;
-        }
-        for (&x, c) in &other.terms {
-            self.add_term(x, c * k);
-        }
-        self.constant += &(&other.constant * k);
-    }
-
     /// The constant part.
     pub fn constant_part(&self) -> &Rational {
         &self.constant
@@ -68,16 +56,6 @@ impl LinExpr {
         self.terms.iter().map(|(&x, c)| (x, c))
     }
 
-    /// Number of variables with nonzero coefficient.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Largest variable index mentioned, if any.
-    pub fn max_var(&self) -> Option<usize> {
-        self.terms.keys().next_back().copied()
-    }
-
     /// Evaluate the expression under a full assignment.
     pub fn eval(&self, assignment: &[Rational]) -> Rational {
         let mut v = self.constant.clone();
@@ -85,32 +63,6 @@ impl LinExpr {
             v += &(c * &assignment[x]);
         }
         v
-    }
-}
-
-impl fmt::Display for LinExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (&x, c) in &self.terms {
-            if first {
-                write!(f, "{c}*x{x}")?;
-                first = false;
-            } else if c.is_negative() {
-                write!(f, " - {}*x{x}", c.abs())?;
-            } else {
-                write!(f, " + {c}*x{x}")?;
-            }
-        }
-        if first {
-            write!(f, "{}", self.constant)?;
-        } else if !self.constant.is_zero() {
-            if self.constant.is_negative() {
-                write!(f, " - {}", self.constant.abs())?;
-            } else {
-                write!(f, " + {}", self.constant)?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -151,17 +103,6 @@ impl LinConstraint {
     }
 }
 
-impl fmt::Display for LinConstraint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let op = match self.rel {
-            Relation::Le => "<=",
-            Relation::Eq => "==",
-            Relation::Ge => ">=",
-        };
-        write!(f, "{} {op} 0", self.expr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,9 +116,9 @@ mod tests {
         let mut e = LinExpr::var(3);
         e.add_term(3, r(2, 1));
         e.add_term(1, r(1, 2));
-        assert_eq!(e.num_terms(), 2);
+        assert_eq!(e.terms().count(), 2);
         e.add_term(3, r(-3, 1));
-        assert_eq!(e.num_terms(), 1); // x3 coefficient hit zero
+        assert_eq!(e.terms().count(), 1); // x3 coefficient hit zero
     }
 
     #[test]
@@ -190,16 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_merges() {
-        let mut a = LinExpr::var(0);
-        let mut b = LinExpr::var(0);
-        b.add_term(1, r(3, 1));
-        b.add_constant(&r(1, 1));
-        a.add_scaled(&b, &r(2, 1));
-        assert_eq!(a.eval(&[r(1, 1), r(1, 1)]), r(11, 1)); // 1 + 2*(1+3+1)
-    }
-
-    #[test]
     fn constraint_holds() {
         // x0 - 3 >= 0
         let mut e = LinExpr::var(0);
@@ -208,14 +139,5 @@ mod tests {
         assert!(c.holds(&[r(3, 1)]));
         assert!(c.holds(&[r(4, 1)]));
         assert!(!c.holds(&[r(2, 1)]));
-    }
-
-    #[test]
-    fn display_is_readable() {
-        let mut e = LinExpr::var(0);
-        e.add_term(2, r(-1, 2));
-        e.add_constant(&r(-3, 1));
-        let c = LinConstraint::new(e, Relation::Le);
-        assert_eq!(format!("{c}"), "1*x0 - 1/2*x2 - 3 <= 0");
     }
 }

@@ -44,16 +44,6 @@ impl Rational {
         Rational::new(BigInt::from(num), BigInt::from(den))
     }
 
-    /// Numerator (sign-carrying).
-    pub fn numer(&self) -> &BigInt {
-        &self.num
-    }
-
-    /// Denominator (always positive).
-    pub fn denom(&self) -> &BigInt {
-        &self.den
-    }
-
     /// True iff exactly zero.
     pub fn is_zero(&self) -> bool {
         self.num.is_zero()
@@ -80,33 +70,9 @@ impl Rational {
         Rational::new(self.den.clone(), self.num.clone())
     }
 
-    /// Absolute value.
-    pub fn abs(&self) -> Rational {
-        Rational { num: self.num.abs(), den: self.den.clone() }
-    }
-
     /// Lossy conversion to `f64` for reporting.
     pub fn to_f64(&self) -> f64 {
         self.num.to_f64() / self.den.to_f64()
-    }
-
-    /// Exact integer value if this rational is an integer that fits in `i64`.
-    pub fn to_i64(&self) -> Option<i64> {
-        if self.is_integer() {
-            self.num.to_i64()
-        } else {
-            None
-        }
-    }
-
-    /// Round toward negative infinity to the nearest integer.
-    pub fn floor(&self) -> BigInt {
-        let (q, r) = self.num.divrem(&self.den);
-        if r.is_negative() {
-            &q - &BigInt::one()
-        } else {
-            q
-        }
     }
 
     /// Round toward positive infinity to the nearest integer.
@@ -281,12 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn floor_ceil() {
-        assert_eq!(r(7, 2).floor(), BigInt::from(3i64));
+    fn ceil_rounds_up() {
         assert_eq!(r(7, 2).ceil(), BigInt::from(4i64));
-        assert_eq!(r(-7, 2).floor(), BigInt::from(-4i64));
         assert_eq!(r(-7, 2).ceil(), BigInt::from(-3i64));
-        assert_eq!(r(6, 2).floor(), BigInt::from(3i64));
         assert_eq!(r(6, 2).ceil(), BigInt::from(3i64));
     }
 
@@ -294,8 +257,7 @@ mod tests {
     fn recip_and_integer_checks() {
         assert_eq!(r(3, 4).recip(), r(4, 3));
         assert!(r(4, 2).is_integer());
-        assert_eq!(r(4, 2).to_i64(), Some(2));
-        assert_eq!(r(1, 2).to_i64(), None);
+        assert!(!r(1, 2).is_integer());
     }
 
     #[test]

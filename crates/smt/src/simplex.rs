@@ -1,59 +1,22 @@
 //! Exact phase-1 primal simplex over rationals.
 //!
-//! Used as the theory solver of the DPLL search in [`crate::dpll`]:
-//! every node asks "is this conjunction of linear constraints over the
-//! reals feasible, and if so give me a witness". Phase 1 answers both;
-//! there is no objective, so there is no phase 2. Exact arithmetic with
-//! Bland's anti-cycling rule makes both answers trustworthy, which is
-//! what lets the QUBO compiler *prove* its coefficient tables correct.
+//! [`feasible`] is the crate's one LP entry; outside tests its only
+//! caller is the DPLL node check in [`crate::dpll`]. Every node asks
+//! "is this conjunction of linear constraints over the reals feasible,
+//! and if so give me a witness", passing the rows by reference. Phase 1
+//! answers both; there is no objective, so there is no phase 2. Exact
+//! arithmetic with Bland's anti-cycling rule makes both answers
+//! trustworthy, which is what lets the QUBO compiler *prove* its
+//! coefficient tables correct.
 
 use crate::linexpr::{LinConstraint, Relation};
 use crate::rational::Rational;
 
-/// Result of an LP solve.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LpResult {
-    /// A witness assignment for the original (free) variables.
-    Feasible(Vec<Rational>),
-    /// No assignment satisfies the constraints.
-    Infeasible,
-}
-
-/// A feasibility problem over `num_vars` free rational variables.
-#[derive(Clone, Debug, Default)]
-pub struct LpProblem {
-    num_vars: usize,
-    constraints: Vec<LinConstraint>,
-}
-
-impl LpProblem {
-    /// Create a problem over `num_vars` free variables.
-    pub fn new(num_vars: usize) -> Self {
-        LpProblem { num_vars, constraints: Vec::new() }
-    }
-
-    /// Number of free variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Add a constraint. Panics if it mentions a variable out of range.
-    pub fn add(&mut self, c: LinConstraint) {
-        if let Some(m) = c.expr.max_var() {
-            assert!(m < self.num_vars, "constraint mentions variable {m} out of range");
-        }
-        self.constraints.push(c);
-    }
-
-    /// Solve for feasibility. Returns a witness on success.
-    pub fn feasible(&self) -> LpResult {
-        Tableau::build(self).phase1()
-    }
+/// Feasibility of `rows` over `num_vars` free rational variables: a
+/// witness assignment, or `None` if no assignment satisfies every row.
+/// Panics if a row mentions a variable `≥ num_vars`.
+pub fn feasible(num_vars: usize, rows: &[&LinConstraint]) -> Option<Vec<Rational>> {
+    Tableau::build(num_vars, rows).phase1()
 }
 
 /// Dense simplex tableau. Free variables are split `x = p − n` with
@@ -72,19 +35,19 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn build(p: &LpProblem) -> Tableau {
-        let nv = p.num_vars;
-        let m = p.constraints.len();
+    fn build(nv: usize, constraints: &[&LinConstraint]) -> Tableau {
+        let m = constraints.len();
         // Columns: [p0..p(nv-1) | n0..n(nv-1) | slacks | artificials]
-        let nslack = p.constraints.iter().filter(|c| c.rel != Relation::Eq).count();
+        let nslack = constraints.iter().filter(|c| c.rel != Relation::Eq).count();
         let art_start = 2 * nv + nslack;
         let ncols = art_start + m;
         let mut rows = Vec::with_capacity(m);
         let mut basis = Vec::with_capacity(m);
         let mut slack_idx = 2 * nv;
-        for (r, c) in p.constraints.iter().enumerate() {
+        for (r, c) in constraints.iter().enumerate() {
             let mut row = vec![Rational::zero(); ncols + 1];
             for (x, coeff) in c.expr.terms() {
+                assert!(x < nv, "constraint mentions variable {x} out of range");
                 row[x] = coeff.clone();
                 row[nv + x] = -coeff;
             }
@@ -118,7 +81,7 @@ impl Tableau {
     /// Phase-1 simplex: minimize the sum of artificial variables. The
     /// constraints are feasible iff that minimum is 0.
     #[allow(clippy::needless_range_loop)] // tableau columns are index-coupled
-    fn phase1(mut self) -> LpResult {
+    fn phase1(mut self) -> Option<Vec<Rational>> {
         // Reduced-cost row for cost vector c (1 on artificials, 0 else),
         // relative to the artificial basis: z[j] = c[j] − Σ_r rows[r][j].
         let mut z = vec![Rational::zero(); self.ncols + 1];
@@ -159,7 +122,7 @@ impl Tableau {
             let Some(pr) = pivot_row else {
                 // Unbounded phase-1 objective cannot happen (bounded below
                 // by 0); defensively treat as infeasible.
-                return LpResult::Infeasible;
+                return None;
             };
             self.pivot(pr, e, &mut z);
         }
@@ -169,10 +132,10 @@ impl Tableau {
         // level.
         for r in 0..self.rows.len() {
             if self.basis[r] >= self.art_start && self.rows[r][self.ncols].is_positive() {
-                return LpResult::Infeasible;
+                return None;
             }
         }
-        LpResult::Feasible(self.witness())
+        Some(self.witness())
     }
 
     /// Extract the witness `x = p − n` from the current basis.
@@ -230,121 +193,117 @@ mod tests {
         LinConstraint::new(e, rel)
     }
 
-    fn check_witness(p: &LpProblem) -> Vec<Rational> {
-        match p.feasible() {
-            LpResult::Feasible(w) => {
-                for (i, c) in (0..p.num_constraints()).zip(p.constraints.iter()) {
-                    assert!(c.holds(&w), "constraint {i} ({c}) violated by witness {w:?}");
-                }
-                w
-            }
-            LpResult::Infeasible => panic!("expected feasible"),
+    fn solve(n: usize, rows: &[LinConstraint]) -> Option<Vec<Rational>> {
+        feasible(n, &rows.iter().collect::<Vec<_>>())
+    }
+
+    fn check_witness(n: usize, rows: &[LinConstraint]) -> Vec<Rational> {
+        let w = solve(n, rows).expect("expected feasible");
+        for (i, c) in rows.iter().enumerate() {
+            assert!(c.holds(&w), "constraint {i} ({c:?}) violated by witness {w:?}");
         }
+        w
     }
 
     #[test]
     fn trivial_feasible() {
-        let p = LpProblem::new(1);
-        check_witness(&p);
+        check_witness(1, &[]);
     }
 
     #[test]
     fn single_equality() {
-        let mut p = LpProblem::new(1);
-        p.add(con(&[(0, 2)], -6, Relation::Eq)); // 2x = 6
-        let w = check_witness(&p);
+        let w = check_witness(1, &[con(&[(0, 2)], -6, Relation::Eq)]); // 2x = 6
         assert_eq!(w[0], r(3, 1));
     }
 
     #[test]
     fn negative_solution_found() {
-        let mut p = LpProblem::new(1);
-        p.add(con(&[(0, 1)], 5, Relation::Le)); // x <= -5
-        let w = check_witness(&p);
+        let w = check_witness(1, &[con(&[(0, 1)], 5, Relation::Le)]); // x <= -5
         assert!(w[0] <= r(-5, 1));
     }
 
     #[test]
     fn system_of_equalities() {
         // x + y = 10, x - y = 4  =>  x = 7, y = 3
-        let mut p = LpProblem::new(2);
-        p.add(con(&[(0, 1), (1, 1)], -10, Relation::Eq));
-        p.add(con(&[(0, 1), (1, -1)], -4, Relation::Eq));
-        let w = check_witness(&p);
-        assert_eq!(w, vec![r(7, 1), r(3, 1)]);
+        let rows =
+            [con(&[(0, 1), (1, 1)], -10, Relation::Eq), con(&[(0, 1), (1, -1)], -4, Relation::Eq)];
+        assert_eq!(check_witness(2, &rows), vec![r(7, 1), r(3, 1)]);
     }
 
     #[test]
     fn infeasible_equalities() {
-        let mut p = LpProblem::new(1);
-        p.add(con(&[(0, 1)], -1, Relation::Eq)); // x = 1
-        p.add(con(&[(0, 1)], -2, Relation::Eq)); // x = 2
-        assert_eq!(p.feasible(), LpResult::Infeasible);
+        let rows = [
+            con(&[(0, 1)], -1, Relation::Eq), // x = 1
+            con(&[(0, 1)], -2, Relation::Eq), // x = 2
+        ];
+        assert_eq!(solve(1, &rows), None);
     }
 
     #[test]
     fn infeasible_inequalities() {
-        let mut p = LpProblem::new(1);
-        p.add(con(&[(0, 1)], -3, Relation::Ge)); // x >= 3
-        p.add(con(&[(0, 1)], -2, Relation::Le)); // x <= 2
-        assert_eq!(p.feasible(), LpResult::Infeasible);
+        let rows = [
+            con(&[(0, 1)], -3, Relation::Ge), // x >= 3
+            con(&[(0, 1)], -2, Relation::Le), // x <= 2
+        ];
+        assert_eq!(solve(1, &rows), None);
     }
 
     #[test]
     fn inequality_band() {
-        let mut p = LpProblem::new(2);
-        p.add(con(&[(0, 1), (1, 1)], -2, Relation::Ge)); // x + y >= 2
-        p.add(con(&[(0, 1)], 0, Relation::Le)); // x <= 0
-        p.add(con(&[(1, 1)], -3, Relation::Le)); // y <= 3
-        check_witness(&p);
+        let rows = [
+            con(&[(0, 1), (1, 1)], -2, Relation::Ge), // x + y >= 2
+            con(&[(0, 1)], 0, Relation::Le),          // x <= 0
+            con(&[(1, 1)], -3, Relation::Le),         // y <= 3
+        ];
+        check_witness(2, &rows);
     }
 
     #[test]
     fn rational_coefficients() {
         // x/2 + y/3 = 1, x = y  => x = y = 6/5
-        let mut p = LpProblem::new(2);
         let mut e = LinExpr::constant(r(-1, 1));
         e.add_term(0, r(1, 2));
         e.add_term(1, r(1, 3));
-        p.add(LinConstraint::new(e, Relation::Eq));
-        p.add(con(&[(0, 1), (1, -1)], 0, Relation::Eq));
-        let w = check_witness(&p);
+        let rows = [LinConstraint::new(e, Relation::Eq), con(&[(0, 1), (1, -1)], 0, Relation::Eq)];
+        let w = check_witness(2, &rows);
         assert_eq!(w[0], r(6, 5));
         assert_eq!(w[1], r(6, 5));
     }
 
     #[test]
     fn redundant_constraints_ok() {
-        let mut p = LpProblem::new(1);
-        for _ in 0..5 {
-            p.add(con(&[(0, 1)], -1, Relation::Eq)); // x = 1, five times
-        }
-        let w = check_witness(&p);
+        let rows = vec![con(&[(0, 1)], -1, Relation::Eq); 5]; // x = 1, five times
+        let w = check_witness(1, &rows);
         assert_eq!(w[0], r(1, 1));
     }
 
     #[test]
     fn degenerate_does_not_cycle() {
         // A classically degenerate system; Bland's rule must terminate.
-        let mut p = LpProblem::new(3);
-        p.add(con(&[(0, 1), (1, -1)], 0, Relation::Le));
-        p.add(con(&[(1, 1), (2, -1)], 0, Relation::Le));
-        p.add(con(&[(2, 1), (0, -1)], 0, Relation::Le));
-        p.add(con(&[(0, 1), (1, 1), (2, 1)], -3, Relation::Eq));
-        let w = check_witness(&p);
+        let rows = [
+            con(&[(0, 1), (1, -1)], 0, Relation::Le),
+            con(&[(1, 1), (2, -1)], 0, Relation::Le),
+            con(&[(2, 1), (0, -1)], 0, Relation::Le),
+            con(&[(0, 1), (1, 1), (2, 1)], -3, Relation::Eq),
+        ];
+        let w = check_witness(3, &rows);
         assert_eq!(&(&(&w[0] + &w[1]) + &w[2]), &r(3, 1));
     }
 
     #[test]
     fn many_vars_feasible() {
         // Chain x0 <= x1 <= ... <= x9, x9 <= -1, x0 >= -100
-        let mut p = LpProblem::new(10);
-        for i in 0..9 {
-            p.add(con(&[(i, 1), (i + 1, -1)], 0, Relation::Le));
-        }
-        p.add(con(&[(9, 1)], 1, Relation::Le));
-        p.add(con(&[(0, 1)], 100, Relation::Ge));
-        let w = check_witness(&p);
+        let mut rows: Vec<LinConstraint> =
+            (0..9).map(|i| con(&[(i, 1), (i + 1, -1)], 0, Relation::Le)).collect();
+        rows.push(con(&[(9, 1)], 1, Relation::Le));
+        rows.push(con(&[(0, 1)], 100, Relation::Ge));
+        let w = check_witness(10, &rows);
         assert!(w[9] <= r(-1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn variable_out_of_range_panics() {
+        let _ = solve(1, &[con(&[(1, 1)], 0, Relation::Eq)]);
     }
 }

@@ -4,7 +4,7 @@
 //! over every pair of a boundary corpus that random draws almost never
 //! hit.
 
-use nck_smt::{BigInt, LinConstraint, LinExpr, LpProblem, LpResult, Rational, Relation};
+use nck_smt::{simplex, BigInt, LinConstraint, LinExpr, Rational, Relation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -157,20 +157,20 @@ fn simplex_on_random_box_systems() {
         let n = rng.random_range(1usize..5);
         let bounds: Vec<(i64, i64)> =
             (0..n).map(|_| (rng.random_range(-50i64..50), rng.random_range(-50i64..50))).collect();
-        let mut lp = LpProblem::new(n);
+        let mut rows = Vec::new();
         // An interval given as (a, b) with a > b is left inverted:
         // x ≥ a and x ≤ b admit no x.
         let feasible = bounds.iter().all(|&(a, b)| a <= b);
         for (i, &(lo, hi)) in bounds.iter().enumerate() {
             let mut e = LinExpr::var(i);
             e.add_constant(&Rational::from(-lo));
-            lp.add(LinConstraint::new(e, Relation::Ge));
+            rows.push(LinConstraint::new(e, Relation::Ge));
             let mut e = LinExpr::var(i);
             e.add_constant(&Rational::from(-hi));
-            lp.add(LinConstraint::new(e, Relation::Le));
+            rows.push(LinConstraint::new(e, Relation::Le));
         }
-        match lp.feasible() {
-            LpResult::Feasible(w) => {
+        match simplex::feasible(n, &rows.iter().collect::<Vec<_>>()) {
+            Some(w) => {
                 assert!(feasible, "case {case}: infeasible {bounds:?} declared feasible");
                 for (i, &(lo, hi)) in bounds.iter().enumerate() {
                     assert!(
@@ -179,7 +179,7 @@ fn simplex_on_random_box_systems() {
                     );
                 }
             }
-            LpResult::Infeasible => {
+            None => {
                 assert!(!feasible, "case {case}: feasible {bounds:?} declared infeasible")
             }
         }
@@ -202,7 +202,6 @@ fn simplex_solves_consistent_equalities() {
                 (0..len).map(|_| rng.random_range(-5i64..5)).collect()
             })
             .collect();
-        let mut lp = LpProblem::new(n);
         let mut constraints = Vec::new();
         for row in &rows {
             let mut e = LinExpr::zero();
@@ -213,17 +212,15 @@ fn simplex_solves_consistent_equalities() {
                 rhs += c * x;
             }
             e.add_constant(&Rational::from(-rhs));
-            let c = LinConstraint::new(e, Relation::Eq);
-            constraints.push(c.clone());
-            lp.add(c);
+            constraints.push(LinConstraint::new(e, Relation::Eq));
         }
-        match lp.feasible() {
-            LpResult::Feasible(w) => {
+        match simplex::feasible(n, &constraints.iter().collect::<Vec<_>>()) {
+            Some(w) => {
                 for c in &constraints {
-                    assert!(c.holds(&w), "case {case}: witness violates {c}");
+                    assert!(c.holds(&w), "case {case}: witness violates {c:?}");
                 }
             }
-            LpResult::Infeasible => panic!("case {case}: consistent system declared infeasible"),
+            None => panic!("case {case}: consistent system declared infeasible"),
         }
     }
 }
