@@ -9,6 +9,14 @@
 //! transpiled circuit's depolarizing fidelity. Final sampling draws
 //! `shots` bitstrings and returns the lowest-energy one, as Qiskit's
 //! QAOA does.
+//!
+//! The exact path follows the diagonal-Hamiltonian simulation of QOKit
+//! (Lykov et al., "Fast Simulation of High-Depth QAOA Circuits",
+//! arXiv:2309.04841) as far as it stays bit-identical to replaying
+//! [`qaoa_circuit`] gate by gate: a run tabulates the cost diagonal
+//! `E(z)` of every basis state once, and each optimizer evaluation
+//! starts from the uniform superposition instead of the Hadamard layer,
+//! applies the cost and mixer layers, and reads ⟨H⟩ off the table.
 
 use crate::analytic::qaoa1_expectation;
 use crate::coupling::CouplingMap;
@@ -65,39 +73,55 @@ impl std::error::Error for QaoaError {}
 /// Build the logical QAOA circuit for `ising` with per-layer mixer
 /// angles `betas` and phase angles `gammas`.
 pub fn qaoa_circuit(ising: &Ising, betas: &[f64], gammas: &[f64]) -> Circuit {
-    assert_eq!(betas.len(), gammas.len(), "one (β, γ) pair per layer");
     let n = ising.num_spins();
     let mut c = Circuit::new(n);
     for q in 0..n {
         c.push(Gate::H(q));
     }
+    qaoa_layers(ising, betas, gammas, |g| c.push(g));
+    c
+}
+
+/// Emit the gates of [`qaoa_circuit`] after its Hadamard layer: one
+/// phase separator and one mixer per (β, γ) pair.
+fn qaoa_layers(ising: &Ising, betas: &[f64], gammas: &[f64], mut emit: impl FnMut(Gate)) {
+    assert_eq!(betas.len(), gammas.len(), "one (β, γ) pair per layer");
+    let n = ising.num_spins();
     for (&beta, &gamma) in betas.iter().zip(gammas) {
         // Phase separator e^{−iγ H}: bit 1 ↦ spin +1 means Z = −s, so
         // fields enter with a negated angle.
         for (q, h) in ising.fields() {
-            c.push(Gate::Rz(q, -2.0 * gamma * h));
+            emit(Gate::Rz(q, -2.0 * gamma * h));
         }
         for ((a, b), j) in ising.couplings() {
-            c.push(Gate::Rzz(a, b, 2.0 * gamma * j));
+            emit(Gate::Rzz(a, b, 2.0 * gamma * j));
         }
         // Mixer e^{−iβ Σ X}.
         for q in 0..n {
-            c.push(Gate::Rx(q, 2.0 * beta));
+            emit(Gate::Rx(q, 2.0 * beta));
         }
     }
-    c
+}
+
+/// The output state of [`qaoa_circuit`], bit-identical to running it
+/// from |0…0⟩: the uniform superposition stands in for the Hadamard
+/// layer.
+fn qaoa_state(ising: &Ising, betas: &[f64], gammas: &[f64]) -> StateVector {
+    let mut s = StateVector::uniform(ising.num_spins());
+    qaoa_layers(ising, betas, gammas, |g| s.apply(g));
+    s
+}
+
+/// The cost diagonal: `E(z)` of every basis state `z` of an `n ≤ 28`
+/// spin register, as [`Ising::energy`] sums it.
+fn energy_diagonal(ising: &Ising) -> Vec<f64> {
+    (0..1u64 << ising.num_spins()).map(|z| ising.energy_bits(z)).collect()
 }
 
 /// Exact ⟨H⟩ of the QAOA state by state-vector simulation (any p,
 /// small registers).
 pub fn qaoa_expectation_sim(ising: &Ising, betas: &[f64], gammas: &[f64]) -> f64 {
-    let c = qaoa_circuit(ising, betas, gammas);
-    let mut s = StateVector::zero(ising.num_spins());
-    s.run(&c);
-    s.expectation_diagonal(|bits| {
-        let spins: Vec<bool> = (0..ising.num_spins()).map(|q| bits >> q & 1 == 1).collect();
-        ising.energy(&spins)
-    })
+    qaoa_state(ising, betas, gammas).expectation_diagonal(|z| ising.energy_bits(z))
 }
 
 /// IBM-cloud timing model for Fig. 11 and §VIII-C: "each job comprised
@@ -270,11 +294,13 @@ impl GateModelDevice {
         // Uniform-mixture mean energy of the scaled problem: all ⟨s⟩
         // and ⟨ss⟩ vanish, leaving the offset.
         let e_mixed = ising.offset();
+        // The cost diagonal, built once for every evaluation below.
+        let diagonal = if exact { energy_diagonal(&ising) } else { Vec::new() };
         // Noisy expectation objective.
         let mut evaluate = |params: &[f64]| -> f64 {
             let (betas, gammas) = params.split_at(layers);
             let ideal = if exact {
-                qaoa_expectation_sim(&ising, betas, gammas)
+                qaoa_state(&ising, betas, gammas).expectation_diagonal(|z| diagonal[z as usize])
             } else {
                 qaoa1_expectation(&ising, betas[0], gammas[0])
             };
@@ -299,8 +325,7 @@ impl GateModelDevice {
         let samples = self.sample(&ising, betas, gammas, fidelity, shots, &mut rng);
         let (mut best_bits, mut best_energy) = (0u64, f64::INFINITY);
         for bits in samples {
-            let x: Vec<bool> = (0..n).map(|q| bits >> q & 1 == 1).collect();
-            let e = qubo.energy(&x);
+            let e = qubo.energy_bits(bits);
             if e < best_energy {
                 best_energy = e;
                 best_bits = bits;
@@ -346,10 +371,7 @@ impl GateModelDevice {
         let n = ising.num_spins();
         let exact = n <= self.sim_limit;
         let ideal_samples: Vec<u64> = if exact {
-            let c = qaoa_circuit(ising, betas, gammas);
-            let mut s = StateVector::zero(n);
-            s.run(&c);
-            s.sample_many(shots, rng)
+            qaoa_state(ising, betas, gammas).sample_many(shots, rng)
         } else {
             // Metropolis chain at an inverse temperature chosen so the
             // chain's mean energy matches the analytic p=1 QAOA
@@ -394,19 +416,15 @@ fn register_mask(n: usize) -> u64 {
 fn metropolis_matched(ising: &Ising, target: f64, shots: usize, rng: &mut StdRng) -> Vec<u64> {
     let n = ising.num_spins();
     assert!(n <= 64, "packed sampling limited to 64 spins");
-    let energy = |bits: u64| {
-        let spins: Vec<bool> = (0..n).map(|q| bits >> q & 1 == 1).collect();
-        ising.energy(&spins)
-    };
     let chain_mean = |beta: f64, rng: &mut StdRng| -> f64 {
         let mut bits: u64 = rng.random::<u64>() & register_mask(n);
-        let mut e = energy(bits);
+        let mut e = ising.energy_bits(bits);
         let mut acc = 0.0;
         let steps = 40 * n;
         for step in 0..steps {
             let q = rng.random_range(0..n);
             let cand = bits ^ (1 << q);
-            let ce = energy(cand);
+            let ce = ising.energy_bits(cand);
             if ce <= e || (-(beta * (ce - e))).exp() > rng.random::<f64>() {
                 bits = cand;
                 e = ce;
@@ -431,14 +449,14 @@ fn metropolis_matched(ising: &Ising, target: f64, shots: usize, rng: &mut StdRng
     // Production sampling: one chain, one sample per interval.
     let mut out = Vec::with_capacity(shots);
     let mut bits: u64 = rng.random::<u64>() & register_mask(n);
-    let mut e = energy(bits);
+    let mut e = ising.energy_bits(bits);
     let burn = 20 * n;
     let stride = n.max(8);
     let mut step = 0usize;
     while out.len() < shots {
         let q = rng.random_range(0..n);
         let cand = bits ^ (1 << q);
-        let ce = energy(cand);
+        let ce = ising.energy_bits(cand);
         if ce <= e || (-(beta * (ce - e))).exp() > rng.random::<f64>() {
             bits = cand;
             e = ce;
@@ -510,6 +528,57 @@ mod tests {
             }
             for (a, b) in resumed.gammas.iter().zip(&full.gammas) {
                 assert_eq!(a.to_bits(), b.to_bits(), "cut {cut}");
+            }
+        }
+    }
+
+    /// `Ising::energy` of basis state `bits`, through a `Vec<bool>`.
+    fn energy_of(ising: &Ising, bits: u64) -> f64 {
+        let spins: Vec<bool> = (0..ising.num_spins()).map(|q| bits >> q & 1 == 1).collect();
+        ising.energy(&spins)
+    }
+
+    /// ⟨H⟩ the way it was first computed: replay the whole circuit from
+    /// |0…0⟩ and sum `Ising::energy` over a `Vec<bool>` per basis state.
+    fn expectation_by_replay(ising: &Ising, betas: &[f64], gammas: &[f64]) -> f64 {
+        let mut s = StateVector::zero(ising.num_spins());
+        s.run(&qaoa_circuit(ising, betas, gammas));
+        s.expectation_diagonal(|bits| energy_of(ising, bits))
+    }
+
+    #[test]
+    fn cached_diagonal_expectation_is_bit_identical_to_replay() {
+        // Random Isings with some zero fields (each adds a signed zero
+        // in `Ising::energy`), couplings and a nonzero offset.
+        for case in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = 1 + case as usize % 12;
+            let mut ising = Ising::new(n);
+            for i in 0..n {
+                if rng.random_range(0..4) != 0 {
+                    ising.add_field(i, rng.random_range(-1.0..1.0));
+                }
+                for j in i + 1..n {
+                    if rng.random_range(0..2) == 0 {
+                        ising.add_coupling(i, j, rng.random_range(-1.0..1.0));
+                    }
+                }
+            }
+            ising.add_offset(rng.random_range(-1.0..1.0));
+            let diagonal = energy_diagonal(&ising);
+            for (z, e) in diagonal.iter().enumerate() {
+                let reference = energy_of(&ising, z as u64);
+                assert_eq!(e.to_bits(), reference.to_bits(), "case {case}, z = {z:b}");
+            }
+            for layers in [1, 2] {
+                let betas: Vec<f64> = (0..layers).map(|_| rng.random_range(-1.5..1.5)).collect();
+                let gammas: Vec<f64> = (0..layers).map(|_| rng.random_range(-1.5..1.5)).collect();
+                let reference = expectation_by_replay(&ising, &betas, &gammas).to_bits();
+                let cached = qaoa_state(&ising, &betas, &gammas)
+                    .expectation_diagonal(|z| diagonal[z as usize]);
+                assert_eq!(cached.to_bits(), reference, "case {case}, n = {n}, p = {layers}");
+                let sim = qaoa_expectation_sim(&ising, &betas, &gammas);
+                assert_eq!(sim.to_bits(), reference, "case {case}, n = {n}, p = {layers}");
             }
         }
     }
@@ -607,14 +676,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let target = -3.0;
         let samples = metropolis_matched(&ising, target, 400, &mut rng);
-        let mean: f64 = samples
-            .iter()
-            .map(|&b| {
-                let s: Vec<bool> = (0..10).map(|q| b >> q & 1 == 1).collect();
-                ising.energy(&s)
-            })
-            .sum::<f64>()
-            / samples.len() as f64;
+        let mean: f64 =
+            samples.iter().map(|&b| ising.energy_bits(b)).sum::<f64>() / samples.len() as f64;
         assert!((mean - target).abs() < 1.5, "mean {mean} vs target {target}");
     }
 

@@ -3,11 +3,25 @@
 //! Exact simulation of the gate set in [`crate::gates`]. Practical up to
 //! ~24 qubits (16M amplitudes); larger QAOA instances use the analytic
 //! p=1 evaluator instead ([`crate::analytic`]).
+//!
+//! QAOA's hot path is served by two exact shortcuts, each bit-identical
+//! to the generic gate replay it replaces:
+//! - `StateVector::uniform` is the output of a Hadamard on every qubit
+//!   of |0…0⟩.
+//! - The diagonal gates `Rz` and `Rzz` multiply whole runs of
+//!   amplitudes by one constant phase: contiguous half-blocks when the
+//!   phase's bit pattern has a long period, and a 16-entry phase table
+//!   repeated over the register when it depends only on the low four
+//!   index bits. Every amplitude still gets exactly one `a * phase`.
 
 use crate::complex::Complex;
 use crate::gates::{Circuit, Gate};
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Period of a phase pattern that depends only on the low four index
+/// bits; such a pattern is applied as one table of this many phases.
+const TABLE: usize = 16;
 
 /// A pure quantum state over `n` qubits (amplitude `i` ↔ basis state
 /// with bit `q` of `i` giving qubit `q`).
@@ -24,6 +38,19 @@ impl StateVector {
         let mut amps = vec![Complex::ZERO; 1 << num_qubits];
         amps[0] = Complex::ONE;
         StateVector { num_qubits, amps }
+    }
+
+    /// The uniform superposition, bit-identical to a Hadamard on every
+    /// qubit of [`zero`](Self::zero): each Hadamard multiplies the one
+    /// nonzero amplitude of its pair by `1/√2` and adds a zero, so every
+    /// amplitude is `1.0` times `1/√2`, `num_qubits` times over.
+    pub(crate) fn uniform(num_qubits: usize) -> Self {
+        assert!(num_qubits <= 28, "state vector limited to 28 qubits");
+        let mut a = 1.0;
+        for _ in 0..num_qubits {
+            a *= std::f64::consts::FRAC_1_SQRT_2;
+        }
+        StateVector { num_qubits, amps: vec![Complex::new(a, 0.0); 1 << num_qubits] }
     }
 
     /// Number of qubits.
@@ -86,13 +113,34 @@ impl StateVector {
                 // diag(e^{−iθ/2}, e^{+iθ/2})
                 let neg = Complex::cis(-t / 2.0);
                 let pos = Complex::cis(t / 2.0);
-                self.phase(|i| if i >> q & 1 == 1 { pos } else { neg });
+                phase_halves(&mut self.amps, q, neg, pos);
             }
             Gate::Rzz(a, b, t) => {
                 // diag phase e^{−iθ/2·(±1)} by the parity of bits a, b.
+                assert_ne!(a, b, "two-qubit gate with identical operands");
+                let (lo, hi) = (a.min(b), a.max(b));
+                assert!(hi < self.num_qubits, "qubit {hi} out of range");
                 let even = Complex::cis(-t / 2.0);
                 let odd = Complex::cis(t / 2.0);
-                self.phase(|i| if (i >> a & 1) ^ (i >> b & 1) == 1 { odd } else { even });
+                let half = 1usize << hi;
+                if half < TABLE {
+                    phase_table(&mut self.amps, |i| {
+                        if (i >> a & 1) ^ (i >> b & 1) == 1 {
+                            odd
+                        } else {
+                            even
+                        }
+                    });
+                } else {
+                    // Bit `hi` splits each block into halves; bit `lo`
+                    // picks the phase inside a half, the other way round
+                    // in the upper one.
+                    for block in self.amps.chunks_exact_mut(half << 1) {
+                        let (low, high) = block.split_at_mut(half);
+                        phase_halves(low, lo, even, odd);
+                        phase_halves(high, lo, odd, even);
+                    }
+                }
             }
             Gate::Xy(a, b, t) => {
                 // Rotate in the span of |…0a…1b…⟩ and |…1a…0b…⟩:
@@ -159,12 +207,6 @@ impl StateVector {
         }
     }
 
-    fn phase(&mut self, f: impl Fn(usize) -> Complex) {
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            *a = *a * f(i);
-        }
-    }
-
     /// Expectation of a diagonal observable `E(i)` (e.g. a QUBO/Ising
     /// energy over basis states).
     pub fn expectation_diagonal(&self, energy: impl Fn(u64) -> f64) -> f64 {
@@ -198,6 +240,42 @@ impl StateVector {
                 cdf.partition_point(|&c| c < r).min(self.amps.len() - 1) as u64
             })
             .collect()
+    }
+}
+
+/// Multiply amplitude `i` of `amps` by `zero` where bit `q` of `i` is
+/// 0 and by `one` where it is 1 (`amps` starts at a multiple of
+/// `2^(q+1)`).
+fn phase_halves(amps: &mut [Complex], q: usize, zero: Complex, one: Complex) {
+    let half = 1usize << q;
+    assert!(half < amps.len(), "qubit {q} out of range");
+    if half < TABLE {
+        phase_table(amps, |i| if i & half == 0 { zero } else { one });
+        return;
+    }
+    for block in amps.chunks_exact_mut(half << 1) {
+        let (low, high) = block.split_at_mut(half);
+        for a in low {
+            *a = *a * zero;
+        }
+        for a in high {
+            *a = *a * one;
+        }
+    }
+}
+
+/// Multiply amplitude `i` of `amps` by `phase(i % TABLE)`: a phase that
+/// depends only on the low four index bits, tabulated once.
+fn phase_table(amps: &mut [Complex], phase: impl Fn(usize) -> Complex) {
+    let table: [Complex; TABLE] = std::array::from_fn(phase);
+    let mut chunks = amps.chunks_exact_mut(TABLE);
+    for chunk in &mut chunks {
+        for (a, p) in chunk.iter_mut().zip(&table) {
+            *a = *a * *p;
+        }
+    }
+    for (a, p) in chunks.into_remainder().iter_mut().zip(&table) {
+        *a = *a * *p;
     }
 }
 
@@ -351,6 +429,76 @@ mod tests {
             let mut s = StateVector::zero(4);
             s.run(&c);
             assert!((s.total_probability() - 1.0).abs() < 1e-9, "case {case}:\n{c}");
+        }
+    }
+
+    /// Bitwise equality of every amplitude, signs of zero included.
+    fn assert_same_bits(a: &StateVector, b: &StateVector, what: &str) {
+        assert_eq!(a.num_qubits(), b.num_qubits(), "{what}");
+        for i in 0..1usize << a.num_qubits() {
+            let (x, y) = (a.amp(i), b.amp(i));
+            assert_eq!(
+                (x.re.to_bits(), x.im.to_bits()),
+                (y.re.to_bits(), y.im.to_bits()),
+                "{what}: amplitude {i}: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn uniform_is_bit_identical_to_a_hadamard_layer() {
+        for n in 1..=16 {
+            let mut h = StateVector::zero(n);
+            for q in 0..n {
+                h.apply(Gate::H(q));
+            }
+            assert_same_bits(&StateVector::uniform(n), &h, &format!("n = {n}"));
+        }
+    }
+
+    /// The per-index phase pass the block and table kernels replace:
+    /// amplitude `i` times a phase chosen from the bits of `i`.
+    fn phase_reference(s: &mut StateVector, g: Gate) {
+        let phase = |i: usize| match g {
+            Gate::Rz(q, t) => Complex::cis(if i >> q & 1 == 1 { t / 2.0 } else { -t / 2.0 }),
+            Gate::Rzz(a, b, t) => {
+                let odd = (i >> a & 1) ^ (i >> b & 1) == 1;
+                Complex::cis(if odd { t / 2.0 } else { -t / 2.0 })
+            }
+            _ => unreachable!("not a diagonal phase gate: {g}"),
+        };
+        for i in 0..1usize << s.num_qubits() {
+            s.set_amp(i, s.amp(i) * phase(i));
+        }
+    }
+
+    #[test]
+    fn phase_kernels_are_bit_identical_to_the_per_index_pass() {
+        // Registers below, at and above the 16-amplitude table, every
+        // qubit and every ordered pair (both operand orders, the
+        // adjacent pair (0, 1) included).
+        for (case, n) in [1usize, 2, 3, 4, 5, 6, 8, 10].into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            let mut start = StateVector::zero(n);
+            for i in 0..1usize << n {
+                start.set_amp(
+                    i,
+                    Complex::new(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)),
+                );
+            }
+            let mut gates: Vec<Gate> =
+                (0..n).map(|q| Gate::Rz(q, rng.random_range(-3.0..3.0))).collect();
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    gates.push(Gate::Rzz(a, b, rng.random_range(-3.0..3.0)));
+                }
+            }
+            for g in gates {
+                let (mut fast, mut reference) = (start.clone(), start.clone());
+                fast.apply(g);
+                phase_reference(&mut reference, g);
+                assert_same_bits(&fast, &reference, &format!("n = {n}, {g}"));
+            }
         }
     }
 }

@@ -122,6 +122,11 @@ impl RationalQubo {
     /// `num_vars − num_real` bits.
     pub fn min_over_ancillas(&self, var_bits: u64, num_real: usize) -> Rational {
         let num_anc = self.num_vars - num_real;
+        if num_anc == 0 {
+            // No ancilla to place: `anc << num_real` would overflow at
+            // 64 real variables.
+            return self.energy_bits(var_bits);
+        }
         let mut best: Option<Rational> = None;
         for anc in 0..1u64 << num_anc {
             let e = self.energy_bits(var_bits | anc << num_real);

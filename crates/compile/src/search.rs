@@ -611,15 +611,19 @@ mod tests {
     #[test]
     fn wide_shape_compiles_without_the_exhaustive_recheck() {
         // nck(v0..v63, {0,1}) has no closed form; its 2^64 assignments
-        // are past what the debug re-check can walk.
+        // are past what the debug re-check can walk. With 64 real
+        // variables and no ancillas, `penalty` must not shift an
+        // ancilla counter past bit 63 (a debug-build overflow panic).
         let s = shape(&[1; 64], &[0, 1]);
         let c = find_qubo(&s, GapMode::AtLeastOne).unwrap();
         assert_eq!((c.num_real, c.num_ancillas), (64, 0));
         for bits in [0, 1, 1 << 63] {
             assert!(c.qubo.energy_bits(bits).is_zero());
+            assert!(c.penalty(bits).is_zero());
         }
         for bits in [0b11, 1 << 5 | 1 << 40, u64::MAX] {
             assert!(c.qubo.energy_bits(bits) >= Rational::one());
+            assert_eq!(c.penalty(bits), c.qubo.energy_bits(bits));
         }
     }
 

@@ -102,6 +102,22 @@ impl Ising {
         e
     }
 
+    /// [`energy`](Self::energy) of a configuration packed into the low
+    /// bits of a `u64` (bit `i` set = spin `i` is +1), summed in the same
+    /// order, so the two agree to the bit. Usable for up to 64 spins.
+    pub fn energy_bits(&self, s: u64) -> f64 {
+        debug_assert!(self.num_spins <= 64);
+        let sp = |i: usize| if s >> i & 1 == 1 { 1.0 } else { -1.0 };
+        let mut e = self.offset;
+        for (i, &c) in self.h.iter().enumerate() {
+            e += c * sp(i);
+        }
+        for (&(i, j), &c) in &self.j {
+            e += c * sp(i) * sp(j);
+        }
+        e
+    }
+
     /// Convert to QUBO form via `xᵢ = (1 + sᵢ)/2` ⇔ `sᵢ = 2xᵢ − 1`.
     pub fn to_qubo(&self) -> Qubo {
         let mut q = Qubo::new(self.num_spins);
