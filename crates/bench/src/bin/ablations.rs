@@ -13,11 +13,11 @@
 //!
 //! Run with: `cargo run --release -p nck-bench --bin ablations`
 
-use nck_anneal::AnnealerDevice;
+use nck_anneal::{AnnealResult, AnnealerDevice};
 use nck_bench::{fmt_f, print_table};
 use nck_classical::OptimalityOracle;
-use nck_compile::{compile, CompilerOptions};
-use nck_core::SolutionQuality;
+use nck_compile::{compile, CompiledProgram, CompilerOptions};
+use nck_core::{Program, SolutionQuality};
 use nck_problems::{Graph, KSat, MinVertexCover};
 
 const READS: usize = 100;
@@ -40,68 +40,61 @@ fn main() {
             compile(&program, &CompilerOptions { hard_weight: Some(w), ..Default::default() })
                 .unwrap();
         let result = device.sample_qubo(&compiled.qubo, READS, 17).unwrap();
-        let (mut opt, mut sub, mut inc) = (0, 0, 0);
-        for s in &result.samples {
-            match oracle.classify(&program, compiled.program_assignment(&s.assignment)) {
-                SolutionQuality::Optimal => opt += 1,
-                SolutionQuality::Suboptimal => sub += 1,
-                SolutionQuality::Incorrect => inc += 1,
-            }
-        }
-        rows.push(vec![format!("{w}"), format!("{opt}%"), format!("{sub}%"), format!("{inc}%")]);
+        let mut row = vec![format!("{w}")];
+        row.extend(tally(&oracle, &program, &compiled, &result));
+        rows.push(row);
     }
     print_table(&["W", "optimal", "suboptimal", "incorrect"], &rows);
 
     // ----- 2. chain strength --------------------------------------
-    println!("\nAblation 2 — chain strength multiplier (same problem):\n");
-    let compiled = compile(&program, &CompilerOptions::default()).unwrap();
+    // Ablation 1's 15-vertex program embeds one qubit per variable, so
+    // it has no chain to break; twice the triangles need real chains.
+    println!("\nAblation 2 — chain strength multiplier (min vertex cover, 30 vertices):\n");
+    let chained = MinVertexCover::new(Graph::clique_chain(10)).program();
+    let chained_oracle = OptimalityOracle::build(&chained);
+    let chained_compiled = compile(&chained, &CompilerOptions::default()).unwrap();
     let mut rows = Vec::new();
     for scale in [0.25f64, 0.5, 1.0, 2.0, 4.0] {
         let mut dev = AnnealerDevice::advantage_4_1();
         dev.chain_strength_scale = scale;
-        let result = dev.sample_qubo(&compiled.qubo, READS, 19).unwrap();
-        let (mut opt, mut sub, mut inc) = (0, 0, 0);
-        for s in &result.samples {
-            match oracle.classify(&program, compiled.program_assignment(&s.assignment)) {
-                SolutionQuality::Optimal => opt += 1,
-                SolutionQuality::Suboptimal => sub += 1,
-                SolutionQuality::Incorrect => inc += 1,
-            }
-        }
-        rows.push(vec![
+        let result = dev.sample_qubo(&chained_compiled.qubo, READS, 19).unwrap();
+        assert!(result.max_chain_length > 1, "Ablation 2 embedded without chains");
+        let mut row = vec![
             format!("{scale}"),
+            result.physical_qubits.to_string(),
+            result.max_chain_length.to_string(),
             fmt_f(result.chain_break_fraction * 100.0, 1) + "%",
-            format!("{opt}%"),
-            format!("{sub}%"),
-            format!("{inc}%"),
-        ]);
+        ];
+        row.extend(tally(&chained_oracle, &chained, &chained_compiled, &result));
+        rows.push(row);
     }
-    print_table(&["strength x", "chain breaks", "optimal", "suboptimal", "incorrect"], &rows);
+    print_table(
+        &[
+            "strength x",
+            "physical qubits",
+            "max chain",
+            "chain breaks",
+            "optimal",
+            "suboptimal",
+            "incorrect",
+        ],
+        &rows,
+    );
 
     // ----- 2b. sample post-processing ------------------------------
-    println!("\nAblation 2b — steepest-descent sample polish (same problem,");
+    println!("\nAblation 2b — steepest-descent sample polish (Ablation 1's problem,");
     println!("deliberately under-annealed to expose the effect):\n");
+    let compiled = compile(&program, &CompilerOptions::default()).unwrap();
     let mut rows = Vec::new();
     for post in [false, true] {
         let mut dev = AnnealerDevice::advantage_4_1();
         dev.sa = nck_anneal::SaParams { num_sweeps: 8, beta_min: 0.1, beta_max: 2.0 };
         dev.postprocess = post;
         let result = dev.sample_qubo(&compiled.qubo, READS, 21).unwrap();
-        let (mut opt, mut sub, mut inc) = (0, 0, 0);
-        for s in &result.samples {
-            match oracle.classify(&program, compiled.program_assignment(&s.assignment)) {
-                SolutionQuality::Optimal => opt += 1,
-                SolutionQuality::Suboptimal => sub += 1,
-                SolutionQuality::Incorrect => inc += 1,
-            }
-        }
-        rows.push(vec![
-            if post { "on" } else { "off" }.to_string(),
-            fmt_f(result.best().energy, 2),
-            format!("{opt}%"),
-            format!("{sub}%"),
-            format!("{inc}%"),
-        ]);
+        let mut row =
+            vec![if post { "on" } else { "off" }.to_string(), fmt_f(result.best().energy, 2)];
+        row.extend(tally(&oracle, &program, &compiled, &result));
+        rows.push(row);
     }
     print_table(&["polish", "best energy", "optimal", "suboptimal", "incorrect"], &rows);
 
@@ -153,4 +146,23 @@ fn main() {
         &["encoding", "constraints", "shapes", "qubo vars", "ancillas", "best of 100"],
         &rows,
     );
+}
+
+/// Optimal, suboptimal and incorrect shares of a `READS`-read job, as
+/// percentages.
+fn tally(
+    oracle: &OptimalityOracle,
+    program: &Program,
+    compiled: &CompiledProgram,
+    result: &AnnealResult,
+) -> [String; 3] {
+    let mut counts = [0usize; 3];
+    for s in &result.samples {
+        counts[match oracle.classify(program, compiled.program_assignment(&s.assignment)) {
+            SolutionQuality::Optimal => 0,
+            SolutionQuality::Suboptimal => 1,
+            SolutionQuality::Incorrect => 2,
+        }] += 1;
+    }
+    counts.map(|c| format!("{c}%"))
 }

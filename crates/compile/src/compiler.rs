@@ -222,7 +222,7 @@ pub fn compile(program: &Program, opts: &CompilerOptions) -> Result<CompiledProg
         for (c, placement) in soft() {
             total += &(&Rational::from(i64::from(c.weight())) * &placement.compiled.max_penalty());
         }
-        total.ceil().to_f64()
+        total.ceil() as f64
     });
 
     // All hard parts, then all soft parts, each in constraint order.

@@ -9,8 +9,8 @@
 //!
 //! Layers, bottom to top:
 //!
-//! * [`bigint::BigInt`] — arbitrary-precision signed integers.
-//! * [`rational::Rational`] — normalized exact rationals.
+//! * [`rational::Rational`] — normalized exact rationals over checked
+//!   `i128`.
 //! * [`linexpr`] — linear expressions and constraints over rational
 //!   variables.
 //! * [`simplex`] — exact phase-1 primal simplex (Bland's rule):
@@ -25,13 +25,11 @@
 
 #![warn(missing_docs)]
 
-pub mod bigint;
 pub mod dpll;
 pub mod linexpr;
 pub mod rational;
 pub mod simplex;
 
-pub use bigint::BigInt;
 pub use dpll::{DisjunctiveProblem, SearchStats};
 pub use linexpr::{LinConstraint, LinExpr, Relation};
 pub use rational::Rational;

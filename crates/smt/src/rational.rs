@@ -1,9 +1,14 @@
-//! Exact rational numbers over [`BigInt`].
+//! Exact rational numbers over checked `i128`.
 //!
 //! Values are kept normalized: the denominator is strictly positive and
 //! `gcd(num, den) == 1`, so equality and hashing are structural.
+//!
+//! Every operation is checked. A result that would leave `i128` panics
+//! with the message "Rational overflowed i128", in release builds too;
+//! nothing wraps. The compiler's LPs stay far inside that range: the
+//! widest intermediate any shape the repository compiles reaches is
+//! 35 bits, and the widest normalized part 21 bits.
 
-use crate::bigint::BigInt;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -11,75 +16,91 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// An exact rational number.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Rational {
-    num: BigInt,
-    den: BigInt, // invariant: den > 0, gcd(num, den) == 1
+    num: i128,
+    den: i128, // invariant: den > 0, gcd(num, den) == 1
+}
+
+/// Unwrap a `checked_*` result, panicking on overflow.
+fn checked(v: Option<i128>) -> i128 {
+    v.expect("Rational overflowed i128")
+}
+
+fn gcd(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    // Only `new` calls this, with `b` a positive `i128`; the gcd divides
+    // it, so it fits.
+    a as i128
 }
 
 impl Rational {
     /// The rational 0.
     pub fn zero() -> Self {
-        Rational { num: BigInt::zero(), den: BigInt::one() }
+        Rational { num: 0, den: 1 }
     }
 
     /// The rational 1.
     pub fn one() -> Self {
-        Rational { num: BigInt::one(), den: BigInt::one() }
+        Rational { num: 1, den: 1 }
     }
 
     /// Construct `num / den`, normalizing. Panics if `den == 0`.
-    pub fn new(num: BigInt, den: BigInt) -> Self {
-        assert!(!den.is_zero(), "Rational with zero denominator");
-        let (num, den) = if den.is_negative() { (-num, -den) } else { (num, den) };
-        let g = num.gcd(&den);
-        if g.is_zero() {
-            return Rational::zero();
-        }
-        let (num, _) = num.divrem(&g);
-        let (den, _) = den.divrem(&g);
-        Rational { num, den }
+    pub fn new(num: i128, den: i128) -> Self {
+        assert!(den != 0, "Rational with zero denominator");
+        let (num, den) = if den < 0 {
+            (checked(num.checked_neg()), checked(den.checked_neg()))
+        } else {
+            (num, den)
+        };
+        let g = gcd(num, den);
+        Rational { num: num / g, den: den / g }
     }
 
     /// Construct from an integer ratio.
     pub fn ratio(num: i64, den: i64) -> Self {
-        Rational::new(BigInt::from(num), BigInt::from(den))
+        Rational::new(num.into(), den.into())
     }
 
     /// True iff exactly zero.
     pub fn is_zero(&self) -> bool {
-        self.num.is_zero()
+        self.num == 0
     }
 
     /// True iff strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.num.is_negative()
+        self.num < 0
     }
 
     /// True iff strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.num.is_positive()
+        self.num > 0
     }
 
     /// True iff the value is an integer.
     pub fn is_integer(&self) -> bool {
-        self.den == BigInt::one()
+        self.den == 1
     }
 
     /// Multiplicative inverse. Panics on zero.
     pub fn recip(&self) -> Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Rational::new(self.den.clone(), self.num.clone())
+        Rational::new(self.den, self.num)
     }
 
     /// Lossy conversion to `f64` for reporting.
     pub fn to_f64(&self) -> f64 {
-        self.num.to_f64() / self.den.to_f64()
+        self.num as f64 / self.den as f64
     }
 
     /// Round toward positive infinity to the nearest integer.
-    pub fn ceil(&self) -> BigInt {
-        let (q, r) = self.num.divrem(&self.den);
-        if r.is_positive() {
-            &q + &BigInt::one()
+    pub fn ceil(&self) -> i128 {
+        // Truncating division; a positive remainder means a positive
+        // non-integer, which truncation rounded down.
+        let q = self.num / self.den;
+        if self.num % self.den > 0 {
+            q + 1
         } else {
             q
         }
@@ -88,19 +109,13 @@ impl Rational {
 
 impl From<i64> for Rational {
     fn from(v: i64) -> Self {
-        Rational { num: BigInt::from(v), den: BigInt::one() }
+        Rational { num: v.into(), den: 1 }
     }
 }
 
 impl From<i32> for Rational {
     fn from(v: i32) -> Self {
         Rational::from(v as i64)
-    }
-}
-
-impl From<BigInt> for Rational {
-    fn from(v: BigInt) -> Self {
-        Rational { num: v, den: BigInt::one() }
     }
 }
 
@@ -113,28 +128,34 @@ impl PartialOrd for Rational {
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
         // a/b vs c/d  <=>  a*d vs c*b   (b, d > 0)
-        (&self.num * &other.den).cmp(&(&other.num * &self.den))
+        let lhs = checked(self.num.checked_mul(other.den));
+        lhs.cmp(&checked(other.num.checked_mul(self.den)))
     }
 }
 
 impl Add for &Rational {
     type Output = Rational;
     fn add(self, other: &Rational) -> Rational {
-        Rational::new(&(&self.num * &other.den) + &(&other.num * &self.den), &self.den * &other.den)
+        let ad = checked(self.num.checked_mul(other.den));
+        let cb = checked(other.num.checked_mul(self.den));
+        Rational::new(checked(ad.checked_add(cb)), checked(self.den.checked_mul(other.den)))
     }
 }
 
 impl Sub for &Rational {
     type Output = Rational;
     fn sub(self, other: &Rational) -> Rational {
-        Rational::new(&(&self.num * &other.den) - &(&other.num * &self.den), &self.den * &other.den)
+        self + &-other
     }
 }
 
 impl Mul for &Rational {
     type Output = Rational;
     fn mul(self, other: &Rational) -> Rational {
-        Rational::new(&self.num * &other.num, &self.den * &other.den)
+        Rational::new(
+            checked(self.num.checked_mul(other.num)),
+            checked(self.den.checked_mul(other.den)),
+        )
     }
 }
 
@@ -142,7 +163,10 @@ impl Div for &Rational {
     type Output = Rational;
     fn div(self, other: &Rational) -> Rational {
         assert!(!other.is_zero(), "Rational division by zero");
-        Rational::new(&self.num * &other.den, &self.den * &other.num)
+        Rational::new(
+            checked(self.num.checked_mul(other.den)),
+            checked(self.den.checked_mul(other.num)),
+        )
     }
 }
 
@@ -161,14 +185,14 @@ forward_owned_ops!(Add::add, Sub::sub, Mul::mul, Div::div);
 impl Neg for Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
-        Rational { num: -self.num, den: self.den }
+        -&self
     }
 }
 
 impl Neg for &Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
-        Rational { num: -&self.num, den: self.den.clone() }
+        Rational { num: checked(self.num.checked_neg()), den: self.den }
     }
 }
 
@@ -248,9 +272,9 @@ mod tests {
 
     #[test]
     fn ceil_rounds_up() {
-        assert_eq!(r(7, 2).ceil(), BigInt::from(4i64));
-        assert_eq!(r(-7, 2).ceil(), BigInt::from(-3i64));
-        assert_eq!(r(6, 2).ceil(), BigInt::from(3i64));
+        assert_eq!(r(7, 2).ceil(), 4);
+        assert_eq!(r(-7, 2).ceil(), -3);
+        assert_eq!(r(6, 2).ceil(), 3);
     }
 
     #[test]

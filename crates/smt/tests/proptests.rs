@@ -1,10 +1,10 @@
 //! Property sweeps for the exact-arithmetic substrate, checked against
 //! native integer oracles. Each property runs over `CASES` inputs drawn
-//! from `StdRng::seed_from_u64(case)`; the `BigInt` properties also run
-//! over every pair of a boundary corpus that random draws almost never
-//! hit.
+//! from `StdRng::seed_from_u64(case)`; the integer `Rational`
+//! properties also run over every pair of a boundary corpus that random
+//! draws almost never hit.
 
-use nck_smt::{simplex, BigInt, LinConstraint, LinExpr, Rational, Relation};
+use nck_smt::{simplex, LinConstraint, LinExpr, Rational, Relation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 const CASES: u64 = 256;
 
 /// The `i64` extremes, small magnitudes, and the values around the
-/// 32- and 64-bit boundaries where carries and borrows cross limbs.
+/// 32- and 64-bit boundaries, where sums and products leave `i64`.
 const BOUNDARY: [i64; 14] = [
     i64::MIN,
     i64::MIN + 1,
@@ -54,62 +54,53 @@ fn any_ratio(rng: &mut StdRng) -> Rational {
     Rational::ratio(n as i64, rng.random_range(1i64..1000))
 }
 
+/// The integer `v` as a `Rational`: the oracle side of the sweeps below.
+fn int(v: i128) -> Rational {
+    Rational::new(v, 1)
+}
+
 #[test]
-fn bigint_add_matches_i128() {
+fn rational_add_matches_i128() {
     for (a, b) in pairs(any_i64) {
-        let sum = &BigInt::from(a) + &BigInt::from(b);
-        assert_eq!(sum, BigInt::from(a as i128 + b as i128), "{a} + {b}");
+        let sum = &Rational::from(a) + &Rational::from(b);
+        assert_eq!(sum, int(a as i128 + b as i128), "{a} + {b}");
     }
 }
 
 #[test]
-fn bigint_mul_matches_i128() {
+fn rational_sub_matches_i128() {
     for (a, b) in pairs(any_i64) {
-        let prod = &BigInt::from(a) * &BigInt::from(b);
-        assert_eq!(prod, BigInt::from(a as i128 * b as i128), "{a} · {b}");
+        let diff = &Rational::from(a) - &Rational::from(b);
+        assert_eq!(diff, int(a as i128 - b as i128), "{a} - {b}");
     }
 }
 
 #[test]
-fn bigint_divrem_identity() {
-    for (a, b) in pairs(any_i64).filter(|&(_, b)| b != 0) {
-        let (q, r) = BigInt::from(a).divrem(&BigInt::from(b));
-        // a = q·b + r with |r| < |b|
-        assert_eq!(&(&q * &BigInt::from(b)) + &r, BigInt::from(a), "{a} divrem {b}");
-        assert!(r.abs() < BigInt::from(b).abs(), "{a} divrem {b}: remainder {r}");
-    }
-}
-
-#[test]
-fn bigint_gcd_divides_both() {
-    for (a, b) in pairs(|rng| any_i32(rng) as i64) {
-        let g = BigInt::from(a).gcd(&BigInt::from(b));
-        assert_eq!(g, BigInt::from(native_gcd(a, b) as i128), "gcd({a}, {b})");
-        if !g.is_zero() {
-            let (_, r1) = BigInt::from(a).divrem(&g);
-            let (_, r2) = BigInt::from(b).divrem(&g);
-            assert!(r1.is_zero() && r2.is_zero(), "gcd({a}, {b}) = {g}");
-        } else {
-            assert_eq!((a, b), (0, 0));
-        }
-    }
-}
-
-/// Euclid on magnitudes: `gcd(i64::MIN, 0)` is 2⁶³, which no `i64`
-/// holds.
-fn native_gcd(a: i64, b: i64) -> u64 {
-    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-#[test]
-fn bigint_ordering_matches_i64() {
+fn rational_mul_matches_i128() {
     for (a, b) in pairs(any_i64) {
-        assert_eq!(BigInt::from(a).cmp(&BigInt::from(b)), a.cmp(&b), "{a} vs {b}");
+        let prod = &Rational::from(a) * &Rational::from(b);
+        assert_eq!(prod, int(a as i128 * b as i128), "{a} · {b}");
     }
+}
+
+#[test]
+fn rational_ordering_matches_i64() {
+    for (a, b) in pairs(any_i64) {
+        assert_eq!(Rational::from(a).cmp(&Rational::from(b)), a.cmp(&b), "{a} vs {b}");
+    }
+}
+
+/// Past `i128` the arithmetic panics with one message; it never wraps.
+#[test]
+#[should_panic(expected = "Rational overflowed i128")]
+fn i128_range_sum_panics() {
+    let _ = &int(i128::MAX) + &Rational::one();
+}
+
+#[test]
+#[should_panic(expected = "Rational overflowed i128")]
+fn i128_range_product_panics() {
+    let _ = &int(1 << 64) * &int(1 << 64);
 }
 
 #[test]
