@@ -602,8 +602,15 @@ mod tests {
             for noise in [NoiseModel::ideal(), noisy] {
                 for clusters in [&[][..], &chains[..]] {
                     let prepared = PreparedIsing::new(&ising, clusters);
-                    for reads in [0..1, 5..37, 0..BLOCK, BLOCK - 3..2 * BLOCK + 5, 3..3 * BLOCK - 2]
-                    {
+                    for reads in [
+                        0..1,
+                        0..7,
+                        2..11,
+                        5..37,
+                        0..BLOCK,
+                        BLOCK - 3..2 * BLOCK + 5,
+                        3..3 * BLOCK - 2,
+                    ] {
                         let one_at_a_time: Vec<Vec<bool>> = reads
                             .clone()
                             .flat_map(|r| {
@@ -640,6 +647,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Fold every bit of `reads` into a 64-bit FNV-1a digest, each read
+    /// prefixed by its length so adjacent reads cannot run together.
+    fn fnv(mut digest: u64, reads: &[Vec<bool>]) -> u64 {
+        let mut byte = |b: u8| {
+            digest ^= u64::from(b);
+            digest = digest.wrapping_mul(0x0100_0000_01b3);
+        };
+        for read in reads {
+            read.len().to_le_bytes().into_iter().for_each(&mut byte);
+            read.iter().for_each(|&s| byte(u8::from(s)));
+        }
+        digest
+    }
+
+    /// Pins the sampler's output bit for bit: ideal and ICE noise,
+    /// readout flips, cluster moves, and read ranges shorter than a
+    /// lane group, not a multiple of one, and crossing a block. A change
+    /// to the annealing kernel must leave the digest unchanged; a
+    /// deliberate change of the samples must update it and say why.
+    #[test]
+    fn samples_match_the_pinned_digest() {
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        let chain = fm_chain(12);
+        for noise in [NoiseModel::ideal(), NoiseModel::dwave_default()] {
+            digest = fnv(digest, &sample_ising(&chain, &SaParams::default(), &noise, 20, 42));
+        }
+        let params = SaParams { num_sweeps: 16, ..SaParams::default() };
+        let flips = NoiseModel { readout_flip: 0.05, ..NoiseModel::dwave_default() };
+        let never = CancelToken::never();
+        for (case, n) in [7usize, 31].into_iter().enumerate() {
+            let ising = random_ising(n, case as u64 + 11);
+            let chains: Vec<Vec<usize>> =
+                (0..n).collect::<Vec<_>>().chunks(4).map(<[usize]>::to_vec).collect();
+            for noise in [NoiseModel::ideal(), NoiseModel::dwave_default(), flips] {
+                digest = fnv(digest, &sample_ising(&ising, &params, &noise, 13, case as u64));
+                for clusters in [&[][..], &chains[..]] {
+                    let prepared = PreparedIsing::new(&ising, clusters);
+                    for reads in [0..5, 2..11, 3..27, 1..BLOCK + 14] {
+                        let got = prepared.sample_range(&params, &noise, reads, 99, &never, &copy);
+                        digest = fnv(digest, &got);
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0x9b31_91df_e4e8_248a, "sample digest {digest:016x}");
     }
 
     #[test]
