@@ -23,6 +23,24 @@ use nck_exec::{AnnealerBackend, ClassicalBackend, ExecutionPlan, StageTimings};
 use nck_problems::{Graph, MinVertexCover};
 use std::time::Instant;
 
+/// Repetitions of each timed column of the cache ablation.
+const REPS: usize = 5;
+
+/// Run `f` [`REPS`] times and return its last result with the median
+/// wall time in ms: one interval of a few milliseconds on a shared
+/// machine is too noisy to quote as a ratio.
+fn median_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut times = Vec::with_capacity(REPS);
+    let mut last = None;
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        last = Some(f());
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    times.sort_by(f64::total_cmp);
+    (last.expect("REPS > 0"), times[REPS / 2])
+}
+
 fn main() {
     // --- Per-stage pipeline breakdown ----------------------------
     // Min vertex cover on a 16-vertex circulant graph, annealed over a
@@ -78,27 +96,19 @@ fn main() {
 
     // --- Compiler cache ablation ---------------------------------
     println!("QUBO compilation vs direct classical solve (min vertex cover on");
-    println!("circulant graphs; cache off = the paper's redundant recompilation):\n");
+    println!("circulant graphs; cache off = the paper's redundant recompilation;");
+    println!("each time is the median of {REPS} runs):\n");
     let mut rows = Vec::new();
     for n in [16usize, 24, 32, 48] {
         let g = Graph::circulant(n, 4);
         let program = MinVertexCover::new(g).program();
 
-        let t0 = Instant::now();
-        let cached = compile(&program, &CompilerOptions::default()).unwrap();
-        let with_cache = t0.elapsed().as_secs_f64() * 1e3;
-
-        let t0 = Instant::now();
-        let uncached = compile(
-            &program,
-            &CompilerOptions { use_cache: false, use_closed_forms: false, ..Default::default() },
-        )
-        .unwrap();
-        let without = t0.elapsed().as_secs_f64() * 1e3;
-
-        let t0 = Instant::now();
-        let _ = solve(&program, &SolverOptions::default());
-        let direct = t0.elapsed().as_secs_f64() * 1e3;
+        let (cached, with_cache) =
+            median_ms(|| compile(&program, &CompilerOptions::default()).unwrap());
+        let no_cache =
+            CompilerOptions { use_cache: false, use_closed_forms: false, ..Default::default() };
+        let (uncached, without) = median_ms(|| compile(&program, &no_cache).unwrap());
+        let (_, direct) = median_ms(|| solve(&program, &SolverOptions::default()));
 
         assert_eq!(cached.qubo, uncached.qubo);
         rows.push(vec![
