@@ -18,13 +18,15 @@
 //!
 //! Each search runs only as far as its answer depends on. A new chain's
 //! root minimizes its own cost plus the path cost to every placed
-//! neighbour chain; the per-neighbour searches advance in lockstep and
-//! stop once the best qubit settled in all of them is cheaper than any
-//! unsettled qubit could be. Each connecting path stops at the first
-//! qubit next to the neighbour chain that its search settles. Both pick
-//! exactly what full-graph searches followed by a scan of every qubit
-//! would, so embeddings do not depend on where a search stopped. Qubit
-//! costs and search buffers are kept across the routes of one try.
+//! neighbour chain; the per-neighbour searches share one monotone radix
+//! queue (Dijkstra keys only grow) and stop once the best qubit settled
+//! in all of them is cheaper than any unsettled qubit could be. Each
+//! connecting path stops at the first qubit next to the neighbour chain
+//! that its search settles. Both pick exactly what full-graph searches
+//! followed by a scan of every qubit would, so embeddings do not depend
+//! on where a search stopped, nor, for the root, on the order in which
+//! it settled qubits. Qubit costs and search buffers are kept across the
+//! routes of one try.
 
 use crate::sampler::splitmix64;
 use crate::topology::Topology;
@@ -32,7 +34,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A minor embedding: one chain of physical qubits per logical
 /// variable.
@@ -340,80 +341,216 @@ fn trim_chains(logical_adj: &[Vec<usize>], topo: &Topology, chains: &mut [Vec<us
     }
 }
 
-/// A Dijkstra search over qubits whose node weights are the route's
-/// cost array, with buffers reused from search to search. Sources sit
-/// at distance 0 and every step costs at least [`MIN_JITTER`], so heap
-/// keys `(Reverse(d), q)` are distinct and pop in the same order
-/// however far the search runs: a search stopped early has settled
-/// exactly a prefix of the full search, with the same `dist` and
-/// `parent` for every settled qubit.
-struct Search {
+/// A monotone priority queue of `u32` entries whose keys live outside
+/// it: the radix heap of Ahuja, Mehlhorn, Orlin & Tarjan ("Faster
+/// algorithms for the shortest path problem", JACM 1990). No key may be
+/// pushed below `last`, the key at the front, which Dijkstra's keys
+/// never are.
+///
+/// `buckets[0]` holds the entries at `last`; `buckets[b]` for `b ≥ 1`
+/// those whose key first differs from `last` in bit `b − 1`. Keys are
+/// read from the caller at every redistribution, so an entry whose key
+/// fell since its push sits in a bucket too high, next to the fresh
+/// entry pushed at the lower key; the caller reports the stale copy
+/// dead once the fresh one pops. Live entries thus pop in key order,
+/// and an `ordered` queue keeps `buckets[0]` sorted so that they pop
+/// in the order of a `BinaryHeap<(Reverse(key), entry)>` that skips
+/// dead ones.
+struct RadixQueue {
+    last: u64,
+    buckets: Vec<Vec<u32>>,
+    ordered: bool,
+}
+
+/// The bucket of `key` relative to the front key `last`.
+fn bucket(key: u64, last: u64) -> usize {
+    (u64::BITS - (key ^ last).leading_zeros()) as usize
+}
+
+impl RadixQueue {
+    fn new(ordered: bool) -> Self {
+        RadixQueue { last: 0, buckets: vec![Vec::new(); u64::BITS as usize + 1], ordered }
+    }
+
+    /// Empty the queue, handing out every entry it held.
+    fn drain(&mut self) -> impl Iterator<Item = u32> + '_ {
+        self.last = 0;
+        self.buckets.iter_mut().flat_map(|b| b.drain(..))
+    }
+
+    /// Queue `entry` at `key`. Only [`RadixQueue::min_key`] moves
+    /// `last`, never a push, not even into an empty queue: the rest of a
+    /// relaxation may push lower keys.
+    fn push(&mut self, entry: u32, key: u64) {
+        debug_assert!(key >= self.last, "radix queue key {key} below the front {}", self.last);
+        let b = bucket(key, self.last);
+        let bucket = &mut self.buckets[b];
+        if b == 0 && self.ordered {
+            let at = bucket.partition_point(|&e| e < entry);
+            bucket.insert(at, entry);
+        } else {
+            bucket.push(entry);
+        }
+    }
+
+    /// The smallest key of a live entry, with the live entries at that
+    /// key moved to the front; `key(e)` is `None` for a dead entry,
+    /// which is dropped. Call it only after the last popped entry's
+    /// keys are pushed: it moves `last` up to the new minimum.
+    fn min_key(&mut self, key: impl Fn(u32) -> Option<u64>) -> Option<u64> {
+        loop {
+            while let Some(&e) = self.buckets[0].last() {
+                if key(e).is_some() {
+                    return Some(self.last);
+                }
+                self.buckets[0].pop();
+            }
+            let b = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut moved = std::mem::take(&mut self.buckets[b]);
+            // A bucket of dead entries only empties: `last` stays put.
+            if let Some(min) = moved.iter().filter_map(|&e| key(e)).min() {
+                self.last = min;
+                for &e in &moved {
+                    if let Some(k) = key(e) {
+                        self.buckets[bucket(k, min)].push(e);
+                    }
+                }
+                if self.ordered {
+                    self.buckets[0].sort_unstable();
+                }
+            }
+            moved.clear();
+            self.buckets[b] = moved;
+        }
+    }
+
+    /// Pop an entry at the front key, the largest if `ordered`; call it
+    /// right after a [`RadixQueue::min_key`] that returned `Some`.
+    fn pop(&mut self) -> Option<u32> {
+        self.buckets[0].pop()
+    }
+}
+
+/// One source set's state within a [`Search`].
+struct Field {
+    /// Per qubit: the tentative distance, exact once settled, and
+    /// `u64::MAX` while unreached.
     dist: Vec<u64>,
+    /// Per qubit, one bit: settled yet.
+    done: Vec<u64>,
     /// Each reached qubit's predecessor; empty in a search that does
     /// not record paths.
     parent: Vec<u32>,
-    heap: BinaryHeap<(Reverse<u64>, usize)>,
-    /// Qubits settled so far, in order. With the queued ones, these are
-    /// all qubits whose `dist` is finite.
+    /// Qubits settled so far. With the queued ones, these are all
+    /// qubits whose `dist` is finite.
     settled: Vec<u32>,
 }
 
-impl Search {
+impl Field {
     fn new(nq: usize, record_paths: bool) -> Self {
-        assert!(u32::try_from(nq).is_ok(), "qubit indices are stored as u32");
-        Search {
+        Field {
             dist: vec![u64::MAX; nq],
+            done: vec![0; nq.div_ceil(64)],
             parent: if record_paths { vec![u32::MAX; nq] } else { Vec::new() },
-            heap: BinaryHeap::new(),
             settled: Vec::new(),
         }
     }
 
-    /// Forget the previous search and start one from `sources`.
-    fn start(&mut self, sources: &[usize]) {
-        for &q in &self.settled {
-            self.dist[q as usize] = u64::MAX;
-        }
-        for &(_, q) in &self.heap {
-            self.dist[q] = u64::MAX;
-        }
-        self.settled.clear();
-        self.heap.clear();
-        for &q in sources {
-            self.dist[q] = 0;
-            self.heap.push((Reverse(0), q));
-        }
+    fn is_done(&self, q: usize) -> bool {
+        self.done[q / 64] >> (q % 64) & 1 == 1
     }
 
-    /// The smallest key still queued: a lower bound on the distance of
-    /// every qubit not yet settled.
-    fn min_key(&self) -> Option<u64> {
-        self.heap.peek().map(|&(Reverse(d), _)| d)
-    }
-
-    /// A lower bound on the distance of qubit `q`, exact once settled:
-    /// the smaller of its tentative distance and the smallest queued
-    /// key (`u64::MAX` once the search is exhausted).
-    fn lower_bound(&self, q: usize) -> u64 {
-        self.dist[q].min(self.min_key().unwrap_or(u64::MAX))
-    }
-
-    /// Pop one heap entry. If it settles a qubit, relax its neighbours
-    /// and return it; a stale entry returns `None`.
-    fn step(&mut self, topo: &Topology, cost: &[u64]) -> Option<usize> {
-        let (Reverse(d), q) = self.heap.pop()?;
-        if d > self.dist[q] {
-            return None;
-        }
+    fn settle(&mut self, q: usize) {
+        self.done[q / 64] |= 1 << (q % 64);
         self.settled.push(q as u32);
+    }
+}
+
+/// Dijkstra searches over qubits whose node weights are the route's
+/// cost array, one [`Field`] per source set, all on one [`RadixQueue`]
+/// and with buffers reused from search to search. Entry `f << shift |
+/// q` is qubit `q` in field `f`, keyed by its `dist`. Sources sit at
+/// distance 0 and every step costs at least [`MIN_JITTER`], so a search
+/// stopped early has settled exactly the entries of the full search
+/// below the front key, with the same `dist`. A search that records
+/// paths settles them in the same order as the full one, ties largest
+/// qubit first, so every settled qubit has the same `parent` too.
+struct Search {
+    nq: usize,
+    /// Bits of an entry that hold its qubit.
+    shift: u32,
+    record_paths: bool,
+    /// Grown to the most fields any search used, so each buffer has
+    /// one size and is reused.
+    fields: Vec<Field>,
+    queue: RadixQueue,
+}
+
+/// The field and qubit of a [`Search`] entry.
+fn split(e: u32, shift: u32) -> (usize, usize) {
+    ((e >> shift) as usize, (e & ((1u64 << shift) - 1) as u32) as usize)
+}
+
+impl Search {
+    fn new(nq: usize, record_paths: bool) -> Self {
+        let shift = usize::BITS - nq.saturating_sub(1).leading_zeros();
+        Search { nq, shift, record_paths, fields: Vec::new(), queue: RadixQueue::new(record_paths) }
+    }
+
+    /// Forget the previous search and start one field from each source
+    /// set.
+    fn start<'s>(&mut self, sources: impl ExactSizeIterator<Item = &'s [usize]>) {
+        for field in &mut self.fields {
+            for q in field.settled.drain(..) {
+                field.dist[q as usize] = u64::MAX;
+            }
+            field.done.fill(0);
+        }
+        let shift = self.shift;
+        for e in self.queue.drain() {
+            let (f, q) = split(e, shift);
+            self.fields[f].dist[q] = u64::MAX;
+        }
+        assert!(u32::try_from(sources.len() << shift).is_ok(), "search entries are stored as u32");
+        while self.fields.len() < sources.len() {
+            self.fields.push(Field::new(self.nq, self.record_paths));
+        }
+        for (f, qubits) in sources.enumerate() {
+            for &q in qubits {
+                self.fields[f].dist[q] = 0;
+                self.queue.push((f << shift | q) as u32, 0);
+            }
+        }
+    }
+
+    /// The smallest queued distance: a lower bound on the distance of
+    /// every entry not yet settled.
+    fn min_key(&mut self) -> Option<u64> {
+        let (fields, shift) = (&self.fields, self.shift);
+        self.queue.min_key(|e| {
+            let (f, q) = split(e, shift);
+            (!fields[f].is_done(q)).then(|| fields[f].dist[q])
+        })
+    }
+
+    /// Settle the nearest queued entry, relax its qubit's neighbours in
+    /// its field, and return the qubit; `None` once every field is
+    /// exhausted.
+    fn step(&mut self, topo: &Topology, cost: &[u64]) -> Option<usize> {
+        self.min_key()?;
+        let e = self.queue.pop()?;
+        let (f, q) = split(e, self.shift);
+        let field = &mut self.fields[f];
+        field.settle(q);
+        let d = field.dist[q];
         for &x in topo.neighbors(q) {
             let nd = d.saturating_add(cost[x]);
-            if nd < self.dist[x] {
-                self.dist[x] = nd;
-                if let Some(p) = self.parent.get_mut(x) {
+            if nd < field.dist[x] {
+                field.dist[x] = nd;
+                if let Some(p) = field.parent.get_mut(x) {
                     *p = q as u32;
                 }
-                self.heap.push((Reverse(nd), x));
+                self.queue.push((f << self.shift | x) as u32, nd);
             }
         }
         Some(q)
@@ -431,14 +568,13 @@ struct Router<'a> {
     /// `qubit_weight(usage[q], base) · jitter[q]`, kept in step with
     /// `usage` for the duration of one route.
     cost: Vec<u64>,
-    /// One search per placed neighbour of the variable being routed.
-    fields: Vec<Search>,
+    /// [`Router::root`]'s search: one field per placed neighbour of
+    /// the variable being routed.
+    roots: Search,
     /// In how many fields each qubit is settled.
     settled_in: Vec<usize>,
-    /// Qubits already visited by the current [`Router::unsettled_bound`]
-    /// scan: those equal to `scan`.
-    scanned: Vec<u64>,
-    scan: u64,
+    /// The qubits settled in at least one field.
+    reached: Vec<u32>,
     /// The search from the growing chain towards one neighbour chain.
     connect: Search,
     /// Membership of the chain being routed.
@@ -456,10 +592,9 @@ impl<'a> Router<'a> {
             topo,
             jitter: vec![0; nq],
             cost: vec![0; nq],
-            fields: Vec::new(),
+            roots: Search::new(nq, false),
             settled_in: vec![0; nq],
-            scanned: vec![0; nq],
-            scan: 0,
+            reached: Vec::new(),
             connect: Search::new(nq, true),
             in_chain: vec![false; nq],
             near: vec![false; nq],
@@ -511,10 +646,7 @@ impl<'a> Router<'a> {
         // equivalent corridors — with deterministic tie-breaking, every
         // chain funnels through the same routes and dense problems
         // never untangle.
-        for ((jitter, cost), &used) in self.jitter.iter_mut().zip(&mut self.cost).zip(&*usage) {
-            *jitter = MIN_JITTER + rng.random_range(0..8) as u64;
-            *cost = qubit_weight(used, base).saturating_mul(*jitter);
-        }
+        self.draw_costs(usage, base, rng);
         // Root: qubit minimizing its own occupancy cost (otherwise a
         // fresh chain would happily sit on top of an existing one at
         // distance 0 forever) plus the path cost to every neighbour
@@ -524,7 +656,7 @@ impl<'a> Router<'a> {
         let root = self.root(&placed, chains, start)?;
         let k = placed.len();
         let mut targets: Vec<usize> = (0..k).collect();
-        targets.sort_by_key(|&i| self.fields[i].dist[root]);
+        targets.sort_by_key(|&f| self.roots.fields[f].dist[root]);
         self.occupy(root, usage, base);
         self.in_chain[root] = true;
         chains[v].push(root);
@@ -551,10 +683,11 @@ impl<'a> Router<'a> {
             // Walk back from target to chain(v), collecting the new path
             // (ordered from the chain(v) side to the target side).
             let mut path = vec![target];
-            let mut cur = self.connect.parent[target] as usize;
+            let parent = &self.connect.fields[0].parent;
+            let mut cur = parent[target] as usize;
             while !self.in_chain[cur] {
                 path.push(cur);
-                cur = self.connect.parent[cur] as usize;
+                cur = parent[cur] as usize;
             }
             path.reverse();
             let split = path.len().div_ceil(2);
@@ -572,6 +705,14 @@ impl<'a> Router<'a> {
         Some(())
     }
 
+    /// Draw this route's jitter and price every qubit.
+    fn draw_costs(&mut self, usage: &[u32], base: u64, rng: &mut StdRng) {
+        for ((jitter, cost), &used) in self.jitter.iter_mut().zip(&mut self.cost).zip(usage) {
+            *jitter = MIN_JITTER + rng.random_range(0..8) as u64;
+            *cost = qubit_weight(used, base).saturating_mul(*jitter);
+        }
+    }
+
     /// Take one more use of qubit `q`, keeping its cost in step.
     fn occupy(&mut self, q: usize, usage: &mut [u32], base: u64) {
         usage[q] += 1;
@@ -583,47 +724,42 @@ impl<'a> Router<'a> {
     /// chain followed by a scan of all qubits from `start` would pick —
     /// or `None` if no qubit reaches every placed chain.
     ///
-    /// The fields advance in lockstep, always popping from the one whose
-    /// smallest queued key is lowest. A qubit settled in every field
-    /// has its exact total. Any other qubit's total is at least
-    /// [`Router::unsettled_bound`], which is never below the lowest
-    /// queued key plus [`MIN_JITTER`]; that cheap bound is checked on
-    /// every pop, the full one at geometrically spaced pops. Once the
-    /// best exact total is strictly below a bound, no other qubit can
-    /// beat or tie it. The fields keep exact `dist` for every qubit they
-    /// settled, the root included.
+    /// The fields advance together on one queue, always settling the
+    /// nearest entry of any field. A qubit settled in every field has
+    /// its exact total. Any other qubit's total is at least
+    /// [`Router::unsettled_bound`], which is never below the front key
+    /// plus [`MIN_JITTER`]; that cheap bound is checked on every pop,
+    /// the full one at geometrically spaced pops. Once the best exact
+    /// total is strictly below a bound, no other qubit can beat or tie
+    /// it, whatever order the fields settled their qubits in. The fields
+    /// keep exact `dist` for every qubit they settled, the root
+    /// included.
     fn root(&mut self, placed: &[usize], chains: &[Vec<usize>], start: usize) -> Option<usize> {
         let nq = self.topo.num_qubits();
         let k = placed.len();
-        while self.fields.len() < k {
-            self.fields.push(Search::new(nq, false));
-        }
-        for (field, &u) in self.fields.iter_mut().zip(placed) {
-            field.start(&chains[u]);
-        }
+        self.roots.start(placed.iter().map(|&u| &chains[u][..]));
         let mut best: Option<(u64, usize, usize)> = None;
         let (mut pops, mut next_scan) = (0usize, 0usize);
-        while let Some((key, f)) =
-            self.fields[..k].iter().enumerate().filter_map(|(f, s)| Some((s.min_key()?, f))).min()
-        {
+        while let Some(key) = self.roots.min_key() {
             if let Some((sum, _, _)) = best {
                 if sum < key.saturating_add(MIN_JITTER) {
                     break;
                 }
                 if pops >= next_scan {
                     next_scan = pops + pops / 8 + 8;
-                    if sum < self.unsettled_bound(k) {
+                    if sum < self.unsettled_bound(k, key) {
                         break;
                     }
                 }
             }
             pops += 1;
-            let Some(q) = self.fields[f].step(self.topo, &self.cost) else {
-                continue;
-            };
+            let q = self.roots.step(self.topo, &self.cost).expect("a live entry is queued");
             self.settled_in[q] += 1;
+            if self.settled_in[q] == 1 {
+                self.reached.push(q as u32);
+            }
             if self.settled_in[q] == k {
-                let sum = self.fields[..k]
+                let sum = self.roots.fields[..k]
                     .iter()
                     .fold(self.cost[q], |s, field| s.saturating_add(field.dist[q]));
                 let rank = (q + nq - start) % nq;
@@ -632,36 +768,27 @@ impl<'a> Router<'a> {
                 }
             }
         }
-        for field in &self.fields[..k] {
-            for &q in &field.settled {
-                self.settled_in[q as usize] = 0;
-            }
+        for q in self.reached.drain(..) {
+            self.settled_in[q as usize] = 0;
         }
         best.map(|(_, _, q)| q)
     }
 
     /// A lower bound on the total of every qubit not yet settled in all
-    /// of the first `k` fields: its own cost is at least [`MIN_JITTER`],
-    /// and its distance in each field at least that field's
-    /// [`Search::lower_bound`]. A qubit settled in no field has every
-    /// distance bounded by the queued keys alone; the others are
+    /// of the `k` fields, given the front key `key`: its own cost is at
+    /// least [`MIN_JITTER`], and its distance in each field is exact if
+    /// settled there and at least `key` otherwise. A qubit settled in no
+    /// field has every distance bounded by `key` alone; the others are
     /// scanned.
-    fn unsettled_bound(&mut self, k: usize) -> u64 {
-        let fields = &self.fields[..k];
+    fn unsettled_bound(&self, k: usize, key: u64) -> u64 {
+        let fields = &self.roots.fields[..k];
         let total = |q: usize| {
-            fields.iter().fold(MIN_JITTER, |s, field| s.saturating_add(field.lower_bound(q)))
+            fields.iter().fold(MIN_JITTER, |s, field| s.saturating_add(field.dist[q].min(key)))
         };
-        let mut bound = fields
-            .iter()
-            .fold(MIN_JITTER, |s, field| s.saturating_add(field.min_key().unwrap_or(u64::MAX)));
-        self.scan += 1;
-        for field in fields {
-            for &q in &field.settled {
-                let q = q as usize;
-                if self.scanned[q] != self.scan && self.settled_in[q] < k {
-                    self.scanned[q] = self.scan;
-                    bound = bound.min(total(q));
-                }
+        let mut bound = key.saturating_mul(k as u64).saturating_add(MIN_JITTER);
+        for &q in &self.reached {
+            if self.settled_in[q as usize] < k {
+                bound = bound.min(total(q as usize));
             }
         }
         bound
@@ -684,13 +811,13 @@ impl<'a> Router<'a> {
                 self.near[q] = !self.in_chain[q];
             }
         }
-        self.connect.start(chain);
-        while self.connect.min_key().is_some() {
-            if self.connect.step(topo, &self.cost).is_some_and(|q| self.near[q]) {
+        self.connect.start(std::iter::once(chain));
+        while let Some(q) = self.connect.step(topo, &self.cost) {
+            if self.near[q] {
                 break;
             }
         }
-        let dist = &self.connect.dist;
+        let dist = &self.connect.fields[0].dist;
         let mut best: Option<(u64, usize)> = None;
         for &cu in neighbor {
             for &q in topo.neighbors(cu) {
@@ -711,6 +838,213 @@ impl<'a> Router<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BinaryHeap;
+
+    /// Live entries of a [`RadixQueue`] pop in the order of a binary
+    /// heap on `(Reverse(key), entry)`, over monotone pushes with ties
+    /// at the front key, stale copies of lowered keys, wide jumps, and
+    /// keys near `u64::MAX`.
+    #[test]
+    fn radix_queue_pops_like_a_binary_heap() {
+        const N: usize = 48;
+        /// Both queues over one key array; `done` marks popped entries.
+        struct Queues {
+            key: [u64; N],
+            done: [bool; N],
+            radix: RadixQueue,
+            heap: BinaryHeap<(Reverse<u64>, usize)>,
+        }
+        impl Queues {
+            /// Lower the key of `e` to `k`, as a relaxation would.
+            fn push(&mut self, e: usize, k: u64) {
+                if !self.done[e] && k < self.key[e] {
+                    self.key[e] = k;
+                    self.radix.push(e as u32, k);
+                    self.heap.push((Reverse(k), e));
+                }
+            }
+        }
+        for case in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut qs = Queues {
+                key: [u64::MAX; N],
+                done: [false; N],
+                radix: RadixQueue::new(true),
+                heap: BinaryHeap::new(),
+            };
+            for _ in 0..rng.random_range(1..8) {
+                qs.push(rng.random_range(0..N), rng.random_range(0..4));
+            }
+            let mut pops = 0;
+            loop {
+                let expected = loop {
+                    match qs.heap.pop() {
+                        Some((Reverse(k), e)) if qs.done[e] || k > qs.key[e] => continue,
+                        popped => break popped.map(|(Reverse(k), e)| (k, e)),
+                    }
+                };
+                let (key, done) = (&qs.key, &qs.done);
+                let got = qs
+                    .radix
+                    .min_key(|e| (!done[e as usize]).then(|| key[e as usize]))
+                    .map(|k| (k, qs.radix.pop().expect("a live entry at the front") as usize));
+                assert_eq!(got, expected, "case {case}, pop {pops}");
+                let Some((k, e)) = got else { break };
+                qs.done[e] = true;
+                pops += 1;
+                for _ in 0..rng.random_range(0..5) {
+                    let step = match rng.random_range(0..6) {
+                        0 => 0,
+                        1 => 1,
+                        2 => rng.random_range(0..16),
+                        3 => rng.random_range(0..1 << 20),
+                        4 => 1 << rng.random_range(0..64),
+                        _ => u64::MAX,
+                    };
+                    qs.push(rng.random_range(0..N), k.saturating_add(step).min(u64::MAX - 1));
+                }
+            }
+            assert!(qs.radix.buckets.iter().all(Vec::is_empty), "case {case} left entries");
+        }
+    }
+
+    /// A full Dijkstra search with the router's relaxation rule (a
+    /// saturated distance leaves a qubit unreached) on a binary heap of
+    /// `(Reverse(d), q)`: each reached qubit's distance and parent.
+    fn full_search(topo: &Topology, cost: &[u64], sources: &[usize]) -> (Vec<u64>, Vec<u32>) {
+        let nq = topo.num_qubits();
+        let (mut dist, mut parent) = (vec![u64::MAX; nq], vec![u32::MAX; nq]);
+        let mut heap = BinaryHeap::new();
+        for &q in sources {
+            dist[q] = 0;
+            heap.push((Reverse(0), q));
+        }
+        while let Some((Reverse(d), q)) = heap.pop() {
+            if d > dist[q] {
+                continue;
+            }
+            for &x in topo.neighbors(q) {
+                let nd = d.saturating_add(cost[x]);
+                if nd < dist[x] {
+                    dist[x] = nd;
+                    parent[x] = q as u32;
+                    heap.push((Reverse(nd), x));
+                }
+            }
+        }
+        (dist, parent)
+    }
+
+    /// A connected chain of up to `len` qubits grown from `from`.
+    fn random_chain(topo: &Topology, from: usize, len: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut chain = vec![from];
+        for _ in 1..len {
+            let at = chain[rng.random_range(0..chain.len())];
+            let nbrs = topo.neighbors(at);
+            let q = nbrs[rng.random_range(0..nbrs.len())];
+            if !chain.contains(&q) {
+                chain.push(q);
+            }
+        }
+        chain
+    }
+
+    /// `topo` plus a 4-qubit clique coupled to nothing else.
+    fn with_island(topo: &Topology) -> Topology {
+        let nq = topo.num_qubits();
+        let mut couplers: Vec<(usize, usize)> = (0..nq)
+            .flat_map(|a| topo.neighbors(a).iter().filter(move |&&b| a < b).map(move |&b| (a, b)))
+            .collect();
+        for a in nq..nq + 4 {
+            couplers.extend((a + 1..nq + 4).map(|b| (a, b)));
+        }
+        Topology::new("island", nq + 4, &couplers)
+    }
+
+    /// [`Router::root`] and [`Router::nearest_next_to`] stop their
+    /// searches early; over seeded cases they pick exactly what full
+    /// searches followed by their documented scans pick, the connecting
+    /// path included. Cases mix penalty bases up to the `1 << 40` cap
+    /// (where a qubit used twice costs `u64::MAX` and is never reached),
+    /// overlapping chains, and chains on an island no other chain can
+    /// reach.
+    #[test]
+    fn early_stopped_searches_match_full_searches() {
+        const MAX_K: usize = 6;
+        let topos = [with_island(&Topology::pegasus_like(6)), Topology::advantage_4_1()];
+        let adj = vec![(1..=MAX_K).collect::<Vec<_>>()];
+        let mut unreachable = 0;
+        for (t, topo) in topos.iter().enumerate() {
+            let nq = topo.num_qubits();
+            let mut router = Router::new(&adj, topo);
+            for case in 0..[60, 16][t] {
+                let mut rng = StdRng::seed_from_u64(case);
+                let base = [4, 64, 1 << 20, 1 << 40][rng.random_range(0..4)];
+                let usage: Vec<u32> =
+                    (0..nq).map(|_| [0, 0, 0, 0, 1, 2, 3][rng.random_range(0..7)]).collect();
+                router.draw_costs(&usage, base, &mut rng);
+                let chain_at = |rng: &mut StdRng| {
+                    let from = if t == 0 && rng.random_range(0..8) == 0 {
+                        nq - 1 - rng.random_range(0..4)
+                    } else {
+                        rng.random_range(0..nq)
+                    };
+                    let len = rng.random_range(1..8);
+                    random_chain(topo, from, len, rng)
+                };
+                let k = rng.random_range(1..=MAX_K);
+                let chains: Vec<Vec<usize>> = (0..k).map(|_| chain_at(&mut rng)).collect();
+                let placed: Vec<usize> = (0..k).collect();
+                let start = rng.random_range(0..nq);
+
+                let fields: Vec<Vec<u64>> =
+                    chains.iter().map(|c| full_search(topo, &router.cost, c).0).collect();
+                let expected = (0..nq)
+                    .map(|i| (start + i) % nq)
+                    .filter(|&q| fields.iter().all(|d| d[q] != u64::MAX))
+                    .min_by_key(|&q| {
+                        fields.iter().fold(router.cost[q], |s, d| s.saturating_add(d[q]))
+                    });
+                let root = router.root(&placed, &chains, start);
+                assert_eq!(root, expected, "root, topology {t} case {case}");
+                if let Some(root) = root {
+                    for (f, d) in fields.iter().enumerate() {
+                        assert_eq!(router.roots.fields[f].dist[root], d[root], "case {case}");
+                    }
+                } else {
+                    unreachable += 1;
+                }
+
+                let (chain, neighbor) = (chain_at(&mut rng), chain_at(&mut rng));
+                let (dist, parent) = full_search(topo, &router.cost, &chain);
+                let expected = neighbor
+                    .iter()
+                    .flat_map(|&cu| topo.neighbors(cu))
+                    .copied()
+                    .filter(|&q| !chain.contains(&q) && dist[q] != u64::MAX)
+                    .fold(None, |best: Option<usize>, q| match best {
+                        Some(b) if dist[b] <= dist[q] => Some(b),
+                        _ => Some(q),
+                    });
+                for &q in &chain {
+                    router.in_chain[q] = true;
+                }
+                let target = router.nearest_next_to(&neighbor, &chain);
+                assert_eq!(target, expected, "nearest, topology {t} case {case}");
+                if let Some(mut q) = target {
+                    while !chain.contains(&q) {
+                        let p = router.connect.fields[0].parent[q];
+                        assert_eq!(p, parent[q], "path, topology {t} case {case}");
+                        q = p as usize;
+                    }
+                }
+                for &q in &chain {
+                    router.in_chain[q] = false;
+                }
+            }
+        }
+        assert!(unreachable > 0, "no case exercised an unreachable root");
+    }
 
     fn path_adj(n: usize) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); n];

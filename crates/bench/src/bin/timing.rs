@@ -1,6 +1,6 @@
 //! §VIII-C timing: the per-stage pipeline breakdown, the D-Wave
-//! access-time model, and the compiler's symmetric-constraint cache
-//! ablation.
+//! access-time model, the minor embedder on its own, and the
+//! compiler's symmetric-constraint cache ablation.
 //!
 //! The paper reports (a) ≈30 ms of QPU time per 100-sample job, with
 //! the samples together costing slightly less than the single ~15 ms
@@ -15,27 +15,40 @@
 //!
 //! Run with: `cargo run --release -p nck-bench --bin timing`
 
-use nck_anneal::{AnnealerDevice, TimingModel};
+use nck_anneal::{find_embedding, AnnealerDevice, TimingModel};
 use nck_bench::{fmt_f, print_table};
 use nck_classical::{solve, SolverOptions};
 use nck_compile::{compile, CompilerOptions};
 use nck_exec::{AnnealerBackend, ClassicalBackend, ExecutionPlan, StageTimings};
-use nck_problems::{Graph, MinVertexCover};
+use nck_problems::{Graph, KSat, MapColoring, MaxCut, MinVertexCover};
 use std::time::Instant;
 
-/// Repetitions of each timed column of the cache ablation.
+/// Repetitions of each timed column.
 const REPS: usize = 5;
 
-/// Run `f` [`REPS`] times and return its last result with the median
-/// wall time in ms: one interval of a few milliseconds on a shared
-/// machine is too noisy to quote as a ratio.
-fn median_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+/// The shortest interval one repetition of a compile column times: a
+/// cached compile takes 0.1–0.2 ms, too short to divide by.
+const BATCH_MS: f64 = 20.0;
+
+/// Run [`REPS`] repetitions of `f`, each calling it until `min_ms` have
+/// passed (once if `min_ms` is 0), and return its last result with the
+/// median per-call wall time in ms: one interval of a few milliseconds
+/// on a shared machine is too noisy to quote as a ratio.
+fn median_ms<T>(min_ms: f64, mut f: impl FnMut() -> T) -> (T, f64) {
     let mut times = Vec::with_capacity(REPS);
     let mut last = None;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        last = Some(f());
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
+        let mut calls = 0;
+        let ms = loop {
+            last = Some(f());
+            calls += 1;
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            if ms >= min_ms {
+                break ms / calls as f64;
+            }
+        };
+        times.push(ms);
     }
     times.sort_by(f64::total_cmp);
     (last.expect("REPS > 0"), times[REPS / 2])
@@ -51,7 +64,8 @@ fn main() {
     let g = Graph::circulant(16, 4);
     let program = MinVertexCover::new(g).program();
     let plan = ExecutionPlan::new(&program);
-    let annealer = AnnealerBackend::new(AnnealerDevice::advantage_4_1(), 100);
+    let device = AnnealerDevice::advantage_4_1();
+    let annealer = AnnealerBackend::new(device.clone(), 100);
     print!("{}", StageTimings::CSV_HEADER);
     println!(",compile_cache,embed_cache");
     let emit = |label: String, t: &StageTimings| {
@@ -94,21 +108,43 @@ fn main() {
     println!("  total per 100-read job : {:?} (paper: ~30 ms)", t.qpu_access_time(100));
     println!();
 
+    // --- Minor embedding -----------------------------------------
+    // Three Fig. 7 families from `paper-cold`'s request mix, the
+    // costliest embedding (dual-rail 3-SAT) first, each compiled once and
+    // embedded on the Advantage lattice with the device's restart budget
+    // and a fixed seed.
+    println!("Minor embedding on {} (median of {REPS} runs):\n", device.topology.name());
+    let mut rows = Vec::new();
+    for (name, program) in [
+        ("3-SAT dual rail, 6 vars / 12 clauses", KSat::random_3sat(6, 12, 7).program_dual_rail()),
+        ("3-colouring, clique_chain(2)", MapColoring::new(Graph::clique_chain(2), 3).program()),
+        ("max cut, clique_chain(4)", MaxCut::new(Graph::clique_chain(4)).program()),
+    ] {
+        let adj = compile(&program, &CompilerOptions::default()).unwrap().qubo.adjacency();
+        let (found, ms) =
+            median_ms(0.0, || find_embedding(&adj, &device.topology, 7, device.embed_tries));
+        let qubits = found.map_or("none".to_string(), |e| e.num_physical().to_string());
+        rows.push(vec![name.to_string(), adj.len().to_string(), qubits, fmt_f(ms, 2)]);
+    }
+    print_table(&["problem", "variables", "physical qubits", "embed (ms)"], &rows);
+    println!();
+
     // --- Compiler cache ablation ---------------------------------
     println!("QUBO compilation vs direct classical solve (min vertex cover on");
     println!("circulant graphs; cache off = the paper's redundant recompilation;");
-    println!("each time is the median of {REPS} runs):\n");
+    println!("each time is a median of {REPS} repetitions, a compile's per call");
+    println!("over repetitions of at least {BATCH_MS} ms):\n");
     let mut rows = Vec::new();
     for n in [16usize, 24, 32, 48] {
         let g = Graph::circulant(n, 4);
         let program = MinVertexCover::new(g).program();
 
         let (cached, with_cache) =
-            median_ms(|| compile(&program, &CompilerOptions::default()).unwrap());
+            median_ms(BATCH_MS, || compile(&program, &CompilerOptions::default()).unwrap());
         let no_cache =
             CompilerOptions { use_cache: false, use_closed_forms: false, ..Default::default() };
-        let (uncached, without) = median_ms(|| compile(&program, &no_cache).unwrap());
-        let (_, direct) = median_ms(|| solve(&program, &SolverOptions::default()));
+        let (uncached, without) = median_ms(BATCH_MS, || compile(&program, &no_cache).unwrap());
+        let (_, direct) = median_ms(0.0, || solve(&program, &SolverOptions::default()));
 
         assert_eq!(cached.qubo, uncached.qubo);
         rows.push(vec![
