@@ -5,7 +5,7 @@
 //! is reproduced:
 //!
 //! * [`topology`] — Chimera and Pegasus-like hardware graphs (5,640
-//!   qubits at the Advantage preset, degree 15, K4 cliques).
+//!   qubits at the Advantage preset, interior degree 9, K4 cliques).
 //! * [`embed`] — heuristic minor embedding: logical variables become
 //!   *chains* of physical qubits, the effect behind the paper's
 //!   physical-qubits ≫ variables observations (§VIII-A).

@@ -1,14 +1,16 @@
 //! Quantum-annealer hardware topologies.
 //!
 //! Two families: the classic Chimera lattice (D-Wave 2000Q era), and a
-//! Pegasus-like lattice matching the qubit count, degree-15
-//! connectivity, K4 cliques, and 2-D locality of the Advantage
-//! generation. The exact Advantage wiring (shifted internal couplers)
-//! is proprietary-documentation territory; what drives the paper's
-//! observations — chain length growth with problem density, physical
-//! qubit count `≫` logical variable count — depends on qubit count,
-//! degree, and locality, all of which this construction preserves (see
-//! DESIGN.md's substitution table).
+//! Pegasus-like lattice matching the qubit count, K4 cliques, and 2-D
+//! locality of the Advantage generation at interior degree 9, where
+//! real Pegasus reaches degree 15 through shifted internal couplers
+//! this construction leaves out. What drives the paper's observations
+//! — chain length growth with problem density, physical qubit count
+//! `≫` logical variable count — depends on qubit count, shore wires,
+//! and locality, which it preserves; the lower degree is why our
+//! embeddings use more physical qubits than the paper's (see
+//! DESIGN.md's substitution table and EXPERIMENTS.md's known
+//! deviations).
 
 /// An undirected hardware graph of qubits and couplers.
 #[derive(Clone, Debug)]

@@ -44,7 +44,11 @@ pub struct RunBudget {
     pub max_attempts: u32,
     /// Total candidate samples across every attempt. `None` =
     /// unbounded. Attempts already in flight complete; the budget
-    /// gates *further* attempts.
+    /// gates *further* attempts. The count is the decoded candidates
+    /// of *failed* attempts only, since a successful attempt ends the
+    /// run: it grows when classification rejects what a backend
+    /// returned (an unsatisfiable program). `Some(0)` refuses even the
+    /// first attempt.
     pub max_samples: Option<u64>,
 }
 

@@ -519,63 +519,53 @@ impl RecoveredRun {
 
 /// The live persistence sink for one supervised run: owns the
 /// [`RunStore`], serializes [`Record`]s into it, and doubles as the
-/// [`Checkpointer`] every backend hot loop sees.
+/// [`Checkpointer`] every backend hot loop sees. The supervisor builds
+/// one per durable run and is its only user.
 ///
 /// Persistence failures are deliberately *soft* from the solver's
 /// perspective ([`Checkpointer::save`] is infallible): the first store
 /// failure is latched, the run's [`CancelToken`] is cancelled so the
 /// run winds down cooperatively, and [`death`](DurableRun::death)
-/// exposes the typed error for the caller and the chaos harness.
-pub struct DurableRun {
+/// hands the typed error to the supervisor, which reports it as the
+/// run's outcome.
+pub(crate) struct DurableRun {
     store: Mutex<RunStore>,
     restored: Mutex<HashMap<String, Vec<u8>>>,
-    cancel: Mutex<Option<CancelToken>>,
+    cancel: CancelToken,
     death: Mutex<Option<StoreError>>,
     interval: u64,
 }
 
 impl DurableRun {
-    /// A sink over a fresh store.
-    pub fn new(store: RunStore) -> Self {
-        Self::with_restored(store, HashMap::new())
-    }
-
-    /// A sink over a resumed store, pre-loaded with the recovered
-    /// mid-solve checkpoints. Each checkpoint is handed out exactly
-    /// once ([`Checkpointer::load`] consumes), so a later attempt with
-    /// a different seed can never restore stale solver state.
-    pub fn with_restored(store: RunStore, checkpoints: HashMap<String, Vec<u8>>) -> Self {
+    /// A sink over `store` for the run cancelled through `cancel`.
+    /// `restored` holds a resumed run's recovered mid-solve checkpoints
+    /// (empty for a fresh run); each is handed out exactly once
+    /// ([`Checkpointer::load`] consumes), so a later attempt with a
+    /// different seed can never restore stale solver state. `interval`
+    /// is the work units between mid-solve checkpoints; 0 disables
+    /// them but keeps journal and rung durability.
+    pub(crate) fn new(
+        store: RunStore,
+        restored: HashMap<String, Vec<u8>>,
+        cancel: CancelToken,
+        interval: u64,
+    ) -> Self {
         DurableRun {
             store: Mutex::new(store),
-            restored: Mutex::new(checkpoints),
-            cancel: Mutex::new(None),
+            restored: Mutex::new(restored),
+            cancel,
             death: Mutex::new(None),
-            interval: DEFAULT_CHECKPOINT_INTERVAL,
+            interval,
         }
     }
 
-    /// Override the mid-solve checkpoint interval (work units between
-    /// checkpoints; 0 disables mid-solve checkpoints but keeps journal
-    /// and rung durability).
-    pub fn with_interval(mut self, interval: u64) -> Self {
-        self.interval = interval;
-        self
-    }
-
-    /// Bind the run's cancellation token; a store failure cancels it so
-    /// the run winds down instead of computing results that can no
-    /// longer be persisted.
-    pub fn bind_cancel(&self, token: CancelToken) {
-        *self.cancel.lock() = Some(token);
-    }
-
     /// The first store failure, if the store died mid-run.
-    pub fn death(&self) -> Option<StoreError> {
+    pub(crate) fn death(&self) -> Option<StoreError> {
         self.death.lock().clone()
     }
 
     /// Append one record durably. Failures are latched, not returned.
-    pub fn record(&self, rec: &Record) {
+    pub(crate) fn record(&self, rec: &Record) {
         let bytes = encode_record(rec);
         let result = self.store.lock().append(&bytes);
         if let Err(e) = result {
@@ -584,7 +574,7 @@ impl DurableRun {
     }
 
     /// Write a snapshot (collapsing the WAL). Failures are latched.
-    pub fn snapshot(&self, state: &[u8]) {
+    pub(crate) fn snapshot(&self, state: &[u8]) {
         let result = self.store.lock().snapshot(state);
         if let Err(e) = result {
             self.fail(e);
@@ -599,9 +589,7 @@ impl DurableRun {
             *death = Some(e);
         }
         drop(death);
-        if let Some(t) = &*self.cancel.lock() {
-            t.cancel();
-        }
+        self.cancel.cancel();
     }
 }
 
@@ -1075,7 +1063,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = RunStore::open_fresh(&dir).unwrap();
         let restored = HashMap::from([("annealer".to_string(), vec![1, 2, 3])]);
-        let sink = DurableRun::with_restored(store, restored).with_interval(0);
+        let sink = DurableRun::new(store, restored, CancelToken::never(), 0);
         sink.save("annealer", &[4, 5, 6]);
         assert_eq!(sink.load("annealer"), None);
         assert!(sink.death().is_none());

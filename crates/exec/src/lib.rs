@@ -66,7 +66,7 @@ pub use backends::{
 };
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use budget::{RetryPolicy, RunBudget};
-pub use durable::{DurableRun, Record, RecoveredRun, DEFAULT_CHECKPOINT_INTERVAL};
+pub use durable::{Record, RecoveredRun, DEFAULT_CHECKPOINT_INTERVAL};
 pub use error::{ExecError, FailedAttempt, FaultKind};
 pub use fault::FaultInjection;
 pub use journal::{JournalEvent, JournalKind, RunCtx, RunJournal};

@@ -22,8 +22,6 @@ pub enum StageOutcome {
     /// Succeeded, but only via a fallback policy (clique embedding,
     /// analytic p = 1 QAOA) or a degradation-ladder step.
     FellBack,
-    /// The execution failed with a typed error.
-    Failed,
 }
 
 impl StageOutcome {
@@ -33,7 +31,6 @@ impl StageOutcome {
             StageOutcome::Ok => "ok",
             StageOutcome::Retried => "retried",
             StageOutcome::FellBack => "fell_back",
-            StageOutcome::Failed => "failed",
         }
     }
 }
@@ -95,9 +92,10 @@ impl StageTimings {
         self.stages().iter().map(|&(_, d)| d).sum()
     }
 
-    /// The outcome for the CSV: an explicit `Failed`/`FellBack` marker
-    /// wins; otherwise in-attempt counters decide (fallback taken →
-    /// `fell_back`, any retry → `retried`, else `ok`).
+    /// The outcome for the CSV: an explicit `FellBack` marker wins;
+    /// otherwise in-attempt counters decide (fallback taken →
+    /// `fell_back`, any retry → `retried`, else `ok`). A failed run
+    /// produces no report, so no row says it failed.
     pub fn effective_outcome(&self) -> StageOutcome {
         match self.outcome {
             StageOutcome::Ok => {
@@ -171,9 +169,6 @@ mod tests {
         assert_eq!(t.effective_outcome(), StageOutcome::Retried);
         t.fallbacks = 1;
         assert_eq!(t.effective_outcome(), StageOutcome::FellBack);
-        t.outcome = StageOutcome::Failed;
-        assert_eq!(t.effective_outcome(), StageOutcome::Failed);
-        assert!(t.csv_rows("x").contains(",failed,1\n"));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! real substrates need:
 //!
 //! 1. a [`RunBudget`] bounds the whole run — wall-clock deadline,
-//!    total attempts, total samples;
+//!    total attempts, total samples (the decoded candidates of failed
+//!    attempts);
 //! 2. a [`RetryPolicy`] retries *transient* failures
 //!    ([`ExecError::transient`]) on the same rung with deterministic
 //!    seeded backoff;
@@ -38,6 +39,13 @@
 //! checkpoint (same derived seed, same read/iterate position).
 //! Deadline budgets restart on resume — wall-clock spent before a
 //! crash is not charged to the resumed process.
+//!
+//! One private run log owns the journal, its timebase and, for a
+//! durable run, the store sink built over the recovered checkpoints.
+//! Every journal event, budget mark, rung completion and snapshot goes
+//! through it, which keeps the durability rule in one place: the
+//! journal on disk is an exact prefix of the journal in memory, and a
+//! snapshot is that journal plus the ladder and budget position.
 //!
 //! [`CircuitBreaker`]: crate::CircuitBreaker
 
@@ -100,33 +108,64 @@ impl Default for Supervisor {
     }
 }
 
-/// Journal an event and, when the run is durable, persist it in the
-/// same breath — the journal on disk is always an exact prefix of the
-/// journal in memory.
-fn jot(
-    journal: &mut RunJournal,
-    sink: Option<&Arc<DurableRun>>,
-    at: Duration,
-    backend: &'static str,
-    attempt: u32,
-    kind: JournalKind,
-) {
-    let ev = JournalEvent { at, backend, attempt, kind };
-    if let Some(s) = sink {
-        s.record(&Record::Journal(ev.clone()));
-    }
-    journal.events.push(ev);
+/// The run's one record (see the module doc): the journal, its
+/// timebase and, for a durable run, the sink that persists both.
+struct RunLog {
+    journal: RunJournal,
+    /// The journal's timebase: a resumed run's clock starts where the
+    /// persisted prefix stopped, so offsets stay monotonic.
+    started: Instant,
+    sink: Option<Arc<DurableRun>>,
 }
 
-/// Move an attempt context's journal events into the run journal,
-/// persisting each on the way.
-fn drain(journal: &mut RunJournal, sink: Option<&Arc<DurableRun>>, events: &mut Vec<JournalEvent>) {
-    if let Some(s) = sink {
-        for ev in events.iter() {
-            s.record(&Record::Journal(ev.clone()));
+impl RunLog {
+    /// Journal an event stamped with the run's clock.
+    fn note(&mut self, backend: &'static str, attempt: u32, kind: JournalKind) {
+        let at = self.started.elapsed();
+        self.record(Record::Journal(JournalEvent { at, backend, attempt, kind }));
+    }
+
+    /// Move an attempt's own journal events into the run journal.
+    fn absorb(&mut self, events: &mut Vec<JournalEvent>) {
+        for ev in events.drain(..) {
+            self.record(Record::Journal(ev));
         }
     }
-    journal.events.append(events);
+
+    /// Persist `rec` when the run is durable. A journal event goes to
+    /// the store before it joins the in-memory journal.
+    fn record(&mut self, rec: Record) {
+        if let Some(sink) = &self.sink {
+            sink.record(&rec);
+        }
+        if let Record::Journal(ev) = rec {
+            self.journal.events.push(ev);
+        }
+    }
+
+    /// Collapse the WAL into a snapshot of the journal and the run's
+    /// position. Mid-solve checkpoints are not part of it: snapshots
+    /// are taken where the rung's solver state is dead weight.
+    fn snapshot(
+        &self,
+        completed_rungs: u32,
+        global_attempt: u32,
+        samples_used: u64,
+        finished: Option<bool>,
+    ) {
+        if let Some(sink) = &self.sink {
+            let snap = RecoveredRun {
+                journal: self.journal.clone(),
+                elapsed: self.started.elapsed(),
+                completed_rungs,
+                global_attempt,
+                samples_used,
+                finished,
+                ..RecoveredRun::default()
+            };
+            sink.snapshot(&snap.encode());
+        }
+    }
 }
 
 impl Supervisor {
@@ -176,9 +215,7 @@ impl Supervisor {
         seed: u64,
         store: RunStore,
     ) -> Result<ExecReport, Box<SupervisedFailure>> {
-        let sink = Arc::new(DurableRun::new(store).with_interval(self.checkpoint_interval));
-        let result = self.run_inner(plan, ladder, seed, RecoveredRun::default(), Some(&sink));
-        Self::surface_store_death(result, &sink)
+        self.run_inner(plan, ladder, seed, RecoveredRun::default(), Some(store))
     }
 
     /// Resume a durable run from `dir`: recover the persisted journal,
@@ -211,7 +248,7 @@ impl Supervisor {
         store: RunStore,
         recovered: &Recovered,
     ) -> Result<ExecReport, Box<SupervisedFailure>> {
-        let mut run = match RecoveredRun::recover(recovered) {
+        let run = match RecoveredRun::recover(recovered) {
             Ok(run) => run,
             Err(e) => return Err(Self::store_failure(ExecError::Store(e))),
         };
@@ -219,12 +256,7 @@ impl Supervisor {
             let dir = store.dir().display().to_string();
             return Err(Self::store_failure(ExecError::AlreadyFinished { dir }));
         }
-        let sink = Arc::new(
-            DurableRun::with_restored(store, std::mem::take(&mut run.checkpoints))
-                .with_interval(self.checkpoint_interval),
-        );
-        let result = self.run_inner(plan, ladder, seed, run, Some(&sink));
-        Self::surface_store_death(result, &sink)
+        self.run_inner(plan, ladder, seed, run, Some(store))
     }
 
     /// A store failure wrapped in the supervised-failure shape, so the
@@ -241,46 +273,17 @@ impl Supervisor {
         Box::new(SupervisedFailure { error, journal })
     }
 
-    /// If the store died mid-run (a kill-point or real I/O failure),
-    /// the run's outcome is the *crash*, not whatever the in-memory
-    /// run wound down to — mirror what a real process death leaves
-    /// behind, and surface the typed store error. The in-memory
-    /// journal is kept either way: it is the superset the persisted
-    /// prefix is checked against.
-    fn surface_store_death(
-        result: Result<ExecReport, Box<SupervisedFailure>>,
-        sink: &Arc<DurableRun>,
-    ) -> Result<ExecReport, Box<SupervisedFailure>> {
-        match sink.death() {
-            None => result,
-            Some(e) => {
-                let error = FailedAttempt {
-                    backend: "supervisor",
-                    stage: "store",
-                    attempt: 0,
-                    error: ExecError::Store(e),
-                };
-                Err(match result {
-                    Err(mut failure) => {
-                        failure.error = error;
-                        failure
-                    }
-                    Ok(report) => Box::new(SupervisedFailure { error, journal: report.journal }),
-                })
-            }
-        }
-    }
-
-    /// The policy loop, starting from `from`: [`RecoveredRun::default`]
-    /// for a fresh run, the recovered state (its checkpoints already
-    /// moved into `sink`) for a resumed one.
+    /// Run `ladder` from `from`: [`RecoveredRun::default`] for a fresh
+    /// run, the recovered state for a resumed one. With a `store` the
+    /// run is durable; its sink is built here, over the recovered
+    /// mid-solve checkpoints.
     fn run_inner(
         &self,
         plan: &ExecutionPlan<'_>,
         ladder: &[&dyn Backend],
         seed: u64,
-        from: RecoveredRun,
-        sink: Option<&Arc<DurableRun>>,
+        mut from: RecoveredRun,
+        store: Option<RunStore>,
     ) -> Result<ExecReport, Box<SupervisedFailure>> {
         // Resumed runs restore the journal's monotonic timebase: the
         // clock starts `elapsed` in the past, so offsets continue
@@ -288,13 +291,54 @@ impl Supervisor {
         let now = Instant::now();
         let started = now.checked_sub(from.elapsed).unwrap_or(now);
         let global = self.budget.token();
-        if let Some(s) = sink {
-            s.bind_cancel(global.clone());
+        // A store failure cancels the run's token, so the run winds
+        // down instead of computing what can no longer be persisted.
+        let sink = store.map(|store| {
+            let checkpoints = std::mem::take(&mut from.checkpoints);
+            Arc::new(DurableRun::new(store, checkpoints, global.clone(), self.checkpoint_interval))
+        });
+        let mut log = RunLog { journal: std::mem::take(&mut from.journal), started, sink };
+        let outcome = self.climb(plan, ladder, seed, &global, &from, &mut log);
+
+        // If the store died mid-run (a kill-point or real I/O failure),
+        // the run's outcome is the *crash*, not whatever the in-memory
+        // run wound down to: mirror what a real process death leaves
+        // behind, and surface the typed store error. The in-memory
+        // journal is kept either way: it is the superset the persisted
+        // prefix is checked against.
+        let outcome = match log.sink.and_then(|sink| sink.death()) {
+            None => outcome,
+            Some(e) => Err(FailedAttempt {
+                backend: "supervisor",
+                stage: "store",
+                attempt: 0,
+                error: ExecError::Store(e),
+            }),
+        };
+        match outcome {
+            Ok(mut report) => {
+                report.journal = log.journal;
+                Ok(report)
+            }
+            Err(error) => Err(Box::new(SupervisedFailure { error, journal: log.journal })),
         }
+    }
+
+    /// The policy loop: down the ladder from `from`'s rung, attempt
+    /// and budget position, every journal event and store operation
+    /// through `log`. The error is the last attempt's failure.
+    fn climb(
+        &self,
+        plan: &ExecutionPlan<'_>,
+        ladder: &[&dyn Backend],
+        seed: u64,
+        global: &CancelToken,
+        from: &RecoveredRun,
+        log: &mut RunLog,
+    ) -> Result<ExecReport, FailedAttempt> {
         let start_rung = from.completed_rungs as usize;
-        let mut journal = from.journal;
-        let mut global_attempt: u32 = from.global_attempt;
-        let mut samples_used: u64 = from.samples_used;
+        let mut global_attempt = from.global_attempt;
+        let mut samples_used = from.samples_used;
         let mut last_error = FailedAttempt {
             backend: "supervisor",
             stage: "ladder",
@@ -326,64 +370,39 @@ impl Supervisor {
             };
             let mut rung_attempt: u32 = if ri == start_rung { from.rung_attempt } else { 0 };
             loop {
-                if global_attempt >= self.budget.max_attempts {
+                let spent = if global_attempt >= self.budget.max_attempts {
+                    Some(("attempts", "attempt budget spent"))
+                } else if self.budget.max_samples.is_some_and(|max| samples_used >= max) {
+                    Some(("samples", "sample budget spent"))
+                } else {
+                    None
+                };
+                if let Some((what, reason)) = spent {
                     last_error = FailedAttempt {
                         backend: name,
                         stage: "budget",
                         attempt: global_attempt,
-                        error: ExecError::BudgetExhausted { what: "attempts" },
+                        error: ExecError::BudgetExhausted { what },
                     };
-                    jot(
-                        &mut journal,
-                        sink,
-                        started.elapsed(),
+                    log.note(
                         name,
                         rung_attempt,
-                        JournalKind::RungExhausted { reason: "attempt budget spent".into() },
+                        JournalKind::RungExhausted { reason: reason.into() },
                     );
                     break 'rungs;
-                }
-                if let Some(max) = self.budget.max_samples {
-                    if samples_used >= max {
-                        last_error = FailedAttempt {
-                            backend: name,
-                            stage: "budget",
-                            attempt: global_attempt,
-                            error: ExecError::BudgetExhausted { what: "samples" },
-                        };
-                        jot(
-                            &mut journal,
-                            sink,
-                            started.elapsed(),
-                            name,
-                            rung_attempt,
-                            JournalKind::RungExhausted { reason: "sample budget spent".into() },
-                        );
-                        break 'rungs;
-                    }
                 }
                 // Breaker gate: an open breaker rejects the rung
                 // without invoking the backend at all.
                 match plan.breaker(name, |b| b.admit()) {
                     Admission::Rejected => {
-                        jot(
-                            &mut journal,
-                            sink,
-                            started.elapsed(),
-                            name,
-                            rung_attempt,
-                            JournalKind::BreakerShortCircuit,
-                        );
+                        log.note(name, rung_attempt, JournalKind::BreakerShortCircuit);
                         last_error = FailedAttempt {
                             backend: name,
                             stage: "breaker",
                             attempt: rung_attempt,
                             error: ExecError::BreakerOpen { backend: name },
                         };
-                        jot(
-                            &mut journal,
-                            sink,
-                            started.elapsed(),
+                        log.note(
                             name,
                             rung_attempt,
                             JournalKind::RungExhausted { reason: "circuit breaker open".into() },
@@ -391,14 +410,7 @@ impl Supervisor {
                         break;
                     }
                     Admission::Probe => {
-                        jot(
-                            &mut journal,
-                            sink,
-                            started.elapsed(),
-                            name,
-                            rung_attempt,
-                            JournalKind::BreakerProbe,
-                        );
+                        log.note(name, rung_attempt, JournalKind::BreakerProbe);
                     }
                     Admission::Admitted => {}
                 }
@@ -407,67 +419,35 @@ impl Supervisor {
                 // crash mid-attempt resumes with the same counters,
                 // hence the same derived seed, which is what makes the
                 // attempt's mid-solve checkpoints replayable.
-                if let Some(s) = sink {
-                    s.record(&Record::Progress {
-                        rung: ri as u32,
-                        rung_attempt,
-                        global_attempt,
-                        samples_used,
-                    });
-                }
-                jot(
-                    &mut journal,
-                    sink,
-                    started.elapsed(),
-                    name,
+                log.record(Record::Progress {
+                    rung: ri as u32,
                     rung_attempt,
-                    JournalKind::AttemptStarted,
-                );
-                let mut ctx = RunCtx::new(name, rung_token.clone(), rung_attempt, started);
-                if let Some(s) = sink {
-                    let ckpt: Arc<dyn Checkpointer> = Arc::clone(s) as Arc<dyn Checkpointer>;
-                    ctx = ctx.with_checkpointer(ckpt);
+                    global_attempt,
+                    samples_used,
+                });
+                log.note(name, rung_attempt, JournalKind::AttemptStarted);
+                let mut ctx = RunCtx::new(name, rung_token.clone(), rung_attempt, log.started);
+                if let Some(sink) = &log.sink {
+                    ctx = ctx.with_checkpointer(Arc::clone(sink) as Arc<dyn Checkpointer>);
                 }
                 let derived = attempt_seed(seed, global_attempt);
                 global_attempt += 1;
                 match plan.run_attempt(*backend, derived, &mut ctx) {
                     Ok(mut report) => {
                         plan.breaker(name, |b| b.record_success());
-                        drain(&mut journal, sink, &mut report.journal.events);
-                        jot(
-                            &mut journal,
-                            sink,
-                            started.elapsed(),
-                            name,
-                            rung_attempt,
-                            JournalKind::Succeeded,
-                        );
+                        log.absorb(&mut report.journal.events);
+                        log.note(name, rung_attempt, JournalKind::Succeeded);
                         if ri > 0 {
                             report.timings.outcome = StageOutcome::FellBack;
                         }
-                        if let Some(s) = sink {
-                            s.record(&Record::Finished { success: true });
-                            let snap = RecoveredRun {
-                                journal: journal.clone(),
-                                elapsed: started.elapsed(),
-                                completed_rungs: ri as u32,
-                                global_attempt,
-                                samples_used,
-                                finished: Some(true),
-                                ..RecoveredRun::default()
-                            };
-                            s.snapshot(&snap.encode());
-                        }
-                        report.journal = journal;
+                        log.record(Record::Finished { success: true });
+                        log.snapshot(ri as u32, global_attempt, samples_used, Some(true));
                         return Ok(report);
                     }
                     Err(failed) => {
                         samples_used += ctx.stages.candidates as u64;
-                        drain(&mut journal, sink, &mut ctx.journal.events);
-                        jot(
-                            &mut journal,
-                            sink,
-                            started.elapsed(),
+                        log.absorb(&mut ctx.journal.events);
+                        log.note(
                             name,
                             rung_attempt,
                             JournalKind::StageFailed {
@@ -478,14 +458,7 @@ impl Supervisor {
                         );
                         let opened = plan.breaker(name, |b| b.record_failure());
                         if opened {
-                            jot(
-                                &mut journal,
-                                sink,
-                                started.elapsed(),
-                                name,
-                                rung_attempt,
-                                JournalKind::BreakerOpened,
-                            );
+                            log.note(name, rung_attempt, JournalKind::BreakerOpened);
                         }
                         let retryable = failed.error.transient()
                             && rung_attempt < self.retry.retries_per_rung
@@ -497,19 +470,9 @@ impl Supervisor {
                             if let Some(rem) = rung_token.remaining() {
                                 backoff = backoff.min(rem);
                             }
-                            jot(
-                                &mut journal,
-                                sink,
-                                started.elapsed(),
-                                name,
-                                rung_attempt,
-                                JournalKind::Retry { backoff },
-                            );
+                            log.note(name, rung_attempt, JournalKind::Retry { backoff });
                             if !rung_token.sleep(backoff) {
-                                jot(
-                                    &mut journal,
-                                    sink,
-                                    started.elapsed(),
+                                log.note(
                                     name,
                                     rung_attempt,
                                     JournalKind::RungExhausted {
@@ -532,23 +495,13 @@ impl Supervisor {
                         } else {
                             format!("permanent error: {}", last_error.error)
                         };
-                        jot(
-                            &mut journal,
-                            sink,
-                            started.elapsed(),
-                            name,
-                            rung_attempt,
-                            JournalKind::RungExhausted { reason },
-                        );
+                        log.note(name, rung_attempt, JournalKind::RungExhausted { reason });
                         break;
                     }
                 }
             }
             if let Some(next) = ladder.get(ri + 1) {
-                jot(
-                    &mut journal,
-                    sink,
-                    started.elapsed(),
+                log.note(
                     name,
                     rung_attempt,
                     JournalKind::LadderStep { from: name, to: next.name() },
@@ -557,33 +510,17 @@ impl Supervisor {
                 // completed rungs) and collapse the WAL into a
                 // snapshot — the rung's mid-solve checkpoints are dead
                 // weight from here on.
-                if let Some(s) = sink {
-                    s.record(&Record::RungCompleted { rung: ri as u32 });
-                    let snap = RecoveredRun {
-                        journal: journal.clone(),
-                        elapsed: started.elapsed(),
-                        completed_rungs: (ri + 1) as u32,
-                        global_attempt,
-                        samples_used,
-                        ..RecoveredRun::default()
-                    };
-                    s.snapshot(&snap.encode());
-                }
+                log.record(Record::RungCompleted { rung: ri as u32 });
+                log.snapshot((ri + 1) as u32, global_attempt, samples_used, None);
             }
         }
-
-        jot(
-            &mut journal,
-            sink,
-            started.elapsed(),
+        log.note(
             last_error.backend,
             last_error.attempt,
             JournalKind::Failed { error: last_error.error.to_string() },
         );
-        if let Some(s) = sink {
-            s.record(&Record::Finished { success: false });
-        }
-        Err(Box::new(SupervisedFailure { error: last_error, journal }))
+        log.record(Record::Finished { success: false });
+        Err(last_error)
     }
 }
 
@@ -801,6 +738,49 @@ mod tests {
         let failure = sup.run(&plan, &[&faulty], 7).unwrap_err();
         assert_eq!(failure.journal.attempts(), 3, "{}", failure.journal.render());
         assert!(matches!(failure.error.error, ExecError::BudgetExhausted { what: "attempts" }));
+    }
+
+    #[test]
+    fn sample_budget_bounds_the_whole_ladder() {
+        let p = vertex_cover();
+        let plan = ExecutionPlan::new(&p);
+        let backend = ClassicalBackend::default();
+        let sup = Supervisor {
+            budget: RunBudget { max_samples: Some(0), ..RunBudget::default() },
+            ..Supervisor::default()
+        };
+        let failure = sup.run(&plan, &[&backend], 7).unwrap_err();
+        let spent = ExecError::BudgetExhausted { what: "samples" };
+        assert!(matches!(failure.error.error, ExecError::BudgetExhausted { what: "samples" }));
+        assert_eq!((failure.error.backend, failure.error.stage), ("classical", "budget"));
+        let kinds: Vec<&JournalKind> = failure.journal.events.iter().map(|e| &e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                &JournalKind::RungExhausted { reason: "sample budget spent".into() },
+                &JournalKind::Failed { error: spent.to_string() },
+            ],
+            "{}",
+            failure.journal.render()
+        );
+
+        // Samples count the decoded candidates of failed attempts: the
+        // annealer's reads of an unsatisfiable program spend the budget
+        // that the classical rung then finds gone.
+        let mut unsat = Program::new();
+        let vs = unsat.new_vars("v", 2).unwrap();
+        unsat.nck(vs.clone(), [2]).unwrap();
+        unsat.nck(vec![vs[0]], [0]).unwrap();
+        let plan = ExecutionPlan::new(&unsat);
+        let annealer = AnnealerBackend::new(AnnealerDevice::ideal(8), 20);
+        let sup = Supervisor {
+            budget: RunBudget { max_samples: Some(1), ..RunBudget::default() },
+            ..Supervisor::default()
+        };
+        let failure = sup.run(&plan, &[&annealer, &backend], 7).unwrap_err();
+        assert!(matches!(failure.error.error, ExecError::BudgetExhausted { what: "samples" }));
+        assert_eq!(failure.error.backend, "classical");
+        assert_eq!(failure.journal.attempts(), 1, "{}", failure.journal.render());
     }
 
     #[test]

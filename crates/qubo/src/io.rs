@@ -8,8 +8,9 @@
 //! trips through our own writer are lossless.)
 //!
 //! Parsing is an untrusted-input path: every malformed document is
-//! reported as a typed [`QuboIoError`] (which the execution layer lifts
-//! into its own error enum) — never a panic.
+//! reported as a typed [`QuboIoError`], never a panic. The module's one
+//! caller outside this crate is the CLI's `--qubo` flag, which prints
+//! through [`to_qubo_file`].
 
 use crate::qubo::Qubo;
 use std::fmt;
