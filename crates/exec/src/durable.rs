@@ -1053,6 +1053,112 @@ mod tests {
         }
     }
 
+    /// One event of every journal kind, each name drawn from the
+    /// closed vocabulary.
+    fn every_journal_kind() -> Vec<JournalEvent> {
+        let kinds = [
+            JournalKind::AttemptStarted,
+            JournalKind::StageFailed { stage: "embed", error: "no fit".into(), suppressed: true },
+            JournalKind::StageFailed { stage: "sample", error: String::new(), suppressed: false },
+            JournalKind::FallbackTaken { what: "clique embedding" },
+            JournalKind::Retry { backoff: Duration::new(1, 250_000) },
+            JournalKind::BreakerOpened,
+            JournalKind::BreakerShortCircuit,
+            JournalKind::BreakerProbe,
+            JournalKind::RungExhausted { reason: "retries exhausted (3 attempts)".into() },
+            JournalKind::LadderStep { from: "gate", to: "classical" },
+            JournalKind::PartialResult { candidates: 17 },
+            JournalKind::Succeeded,
+            JournalKind::Failed { error: "store: ünïcode\nline".into() },
+        ];
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| JournalEvent {
+                at: Duration::new(i as u64, 1_000 * i as u32 + 7),
+                backend: NAMES[i % 5],
+                attempt: i as u32,
+                kind,
+            })
+            .collect()
+    }
+
+    /// Pins the store's byte format: every record kind, every journal
+    /// kind, snapshots in each terminal state, and each backend's
+    /// checkpoint payload, folded into one FNV-1a digest (each byte
+    /// string prefixed by its length). Round-trip tests pass for any
+    /// self-consistent format; this one fails when a byte moves, so a
+    /// codec refactor must leave it unchanged, and a deliberate format
+    /// change must update it and keep old stores readable or say why.
+    #[test]
+    fn wire_bytes_match_the_pinned_digest() {
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        let events = every_journal_kind();
+        frames.extend(events.iter().cloned().map(|e| encode_record(&Record::Journal(e))));
+        frames.extend(
+            [
+                Record::Progress {
+                    rung: 1,
+                    rung_attempt: 2,
+                    global_attempt: 3,
+                    samples_used: 1 << 40,
+                },
+                Record::RungCompleted { rung: 4 },
+                Record::Checkpoint { tag: "gate".into(), payload: vec![0, 255, 7] },
+                Record::Finished { success: false },
+                Record::Finished { success: true },
+            ]
+            .iter()
+            .map(encode_record),
+        );
+        for finished in [None, Some(false), Some(true)] {
+            let run = RecoveredRun {
+                journal: RunJournal { events: events.clone() },
+                elapsed: Duration::new(9, 876_543_210),
+                completed_rungs: 2,
+                rung_attempt: 1,
+                global_attempt: 5,
+                samples_used: 300,
+                checkpoints: HashMap::from([("annealer".to_string(), vec![1])]),
+                finished,
+            };
+            frames.push(run.encode());
+        }
+        let samples = vec![
+            AnnealSample { assignment: vec![true, false, true], energy: -1.25, broken_chains: 2 },
+            AnnealSample { assignment: vec![], energy: f64::MIN_POSITIVE, broken_chains: 0 },
+        ];
+        frames.push(encode_anneal_progress(17, &samples));
+        frames.push(encode_nm_state(&NmState {
+            simplex: vec![(vec![0.1, -0.2], 3.5), (vec![1.0, 2.0], -0.5), (vec![0.0, 0.0], 9.0)],
+            evaluations: 41,
+            iterations: 12,
+        }));
+        frames.push(encode_incumbent(&Incumbent {
+            assignment: vec![true, true, false],
+            soft_satisfied: 2,
+            soft_weight: 5,
+            violated_weight: 1,
+        }));
+        frames.push(encode_grover_progress(&GroverProgress {
+            next_guess: 9,
+            measurements: 9,
+            total_iterations: 140,
+            m: 10.6044,
+            success_probability: 0.82,
+        }));
+
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for frame in &frames {
+            for b in (frame.len() as u64).to_le_bytes().iter().chain(frame) {
+                digest ^= u64::from(*b);
+                digest = digest.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(frames.len(), 25);
+        assert_eq!(digest, 0x1bea_455a_36a6_61a4, "wire digest {digest:016x}");
+    }
+
     #[test]
     fn interval_zero_neither_saves_nor_restores_checkpoints() {
         let dir = std::env::temp_dir().join(format!(
