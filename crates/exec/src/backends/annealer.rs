@@ -3,13 +3,13 @@
 
 use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
 use crate::budget::attempt_seed;
-use crate::durable::{decode_anneal_progress, encode_anneal_progress};
 use crate::error::{ExecError, FaultKind};
 use crate::fault::FaultInjection;
 use crate::journal::{JournalKind, RunCtx};
-use nck_anneal::{find_embedding, AnnealError, AnnealerDevice, Embedding, Topology};
+use nck_anneal::{find_embedding, AnnealError, AnnealSample, AnnealerDevice, Embedding, Topology};
 use nck_qubo::Qubo;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
@@ -164,12 +164,8 @@ impl Backend for AnnealerBackend {
         // Restore the interrupted job's completed reads (if any) and
         // checkpoint every `ckpt.interval()` reads, so a crash loses at
         // most one chunk of sampling work.
-        let (skip, restored) = ctx
-            .ckpt
-            .load("annealer")
-            .and_then(|buf| decode_anneal_progress(&buf))
-            .unwrap_or_default();
-        let ckpt = &ctx.ckpt;
+        let (skip, restored) =
+            ctx.restore::<(usize, Vec<AnnealSample>)>("annealer").unwrap_or_default();
         let result = self.device.sample_qubo_embedded_resumable(
             qubo,
             &embedding,
@@ -177,11 +173,9 @@ impl Backend for AnnealerBackend {
             seed,
             skip.min(self.num_reads),
             restored,
-            ckpt.interval() as usize,
+            ctx.ckpt.interval() as usize,
             &ctx.cancel,
-            &mut |done, samples| {
-                ckpt.save("annealer", &encode_anneal_progress(done, samples));
-            },
+            &mut |done, samples| ctx.checkpoint("annealer", &(done, Cow::Borrowed(samples))),
         )?;
         ctx.stages.sample = t.elapsed();
         if ctx.cancel.is_cancelled() {

@@ -2,7 +2,6 @@
 //! [`Backend`] trait.
 
 use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
-use crate::durable::{decode_incumbent, encode_incumbent};
 use crate::error::ExecError;
 use crate::fault::FaultInjection;
 use crate::journal::{JournalKind, RunCtx};
@@ -49,13 +48,12 @@ impl Backend for ClassicalBackend {
         // Seed the search with the persisted incumbent (the
         // branch-and-bound prunes against it immediately) and
         // checkpoint every improvement.
-        let restored = ctx.ckpt.load("classical").and_then(|buf| decode_incumbent(&buf));
         let (outcome, stats) = solve_resumable(
             prepared.program,
             &self.options,
             &ctx.cancel,
-            restored,
-            &mut |inc: &Incumbent| ctx.ckpt.save("classical", &encode_incumbent(inc)),
+            ctx.restore("classical"),
+            &mut |inc: &Incumbent| ctx.checkpoint("classical", inc),
         );
         ctx.stages.sample = t.elapsed();
         let metrics = BackendMetrics::Classical {

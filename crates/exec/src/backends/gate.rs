@@ -2,14 +2,11 @@
 //! with the analytic-evaluator fallback policy.
 
 use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
-use crate::durable::{decode_nm_state, encode_nm_state};
 use crate::error::ExecError;
 use crate::fault::FaultInjection;
 use crate::journal::{JournalKind, RunCtx};
-use nck_cancel::{CancelToken, Checkpointer};
 use nck_circuit::{GateModelDevice, NmState, QaoaError, QaoaRun};
 use nck_qubo::Qubo;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Largest register the packed final-sampling path can draw from.
@@ -61,22 +58,20 @@ impl GateModelBackend {
         self
     }
 
-    /// Run QAOA at depth `layers`, checkpointing the optimizer iterate
-    /// through `ckpt` every `ckpt.interval()` iterations. A restored
-    /// state is only handed to the optimizer when its simplex matches
-    /// this depth's parameter dimension — a checkpoint taken at p = 3
-    /// must not seed the p = 1 fallback.
-    #[allow(clippy::too_many_arguments)]
+    /// Run QAOA at depth `layers` under `ctx`'s token, checkpointing
+    /// the optimizer iterate every `ctx.ckpt.interval()` iterations. A
+    /// restored state is only handed to the optimizer when its simplex
+    /// matches this depth's parameter dimension — a checkpoint taken at
+    /// p = 3 must not seed the p = 1 fallback.
     fn qaoa(
         &self,
         qubo: &Qubo,
         layers: usize,
         seed: u64,
-        cancel: &CancelToken,
-        ckpt: &Arc<dyn Checkpointer>,
+        ctx: &RunCtx,
         restored: Option<NmState>,
     ) -> Result<QaoaRun, QaoaError> {
-        let interval = ckpt.interval();
+        let interval = ctx.ckpt.interval();
         let state = restored.filter(|s| s.simplex.len() == 2 * layers + 1);
         self.device.run_qaoa_resumable(
             qubo,
@@ -84,11 +79,11 @@ impl GateModelBackend {
             self.shots,
             self.max_iter,
             seed,
-            cancel,
+            &ctx.cancel,
             state,
             &mut |s: &NmState| {
                 if (s.iterations as u64).is_multiple_of(interval) {
-                    ckpt.save("gate", &encode_nm_state(s));
+                    ctx.checkpoint("gate", s);
                 }
             },
         )
@@ -114,13 +109,13 @@ impl Backend for GateModelBackend {
         self.faults.apply_sample_faults(ctx)?;
         let qubo = &prepared.compiled.qubo;
         let t = Instant::now();
-        let restored = ctx.ckpt.load("gate").and_then(|buf| decode_nm_state(&buf));
+        let restored = ctx.restore::<NmState>("gate");
         // Injected fault: report the first attempt as a state-vector
         // overflow so the fallback policy below runs deterministically.
         let first = if self.faults.qaoa_overflow {
             Err(QaoaError::TooLargeToSimulate { needed: n, sim_limit: 0 })
         } else {
-            self.qaoa(qubo, self.layers, seed, &ctx.cancel, &ctx.ckpt, restored.clone())
+            self.qaoa(qubo, self.layers, seed, ctx, restored.clone())
         };
         let run = match first {
             Ok(r) => r,
@@ -130,7 +125,7 @@ impl Backend for GateModelBackend {
                 ctx.note_suppressed(e.into());
                 ctx.note(JournalKind::FallbackTaken { what: "analytic p=1 QAOA" });
                 ctx.stages.fallbacks += 1;
-                self.qaoa(qubo, 1, seed, &ctx.cancel, &ctx.ckpt, restored)?
+                self.qaoa(qubo, 1, seed, ctx, restored)?
             }
             Err(e) => return Err(e.into()),
         };

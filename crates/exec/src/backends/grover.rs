@@ -8,7 +8,7 @@
 //! [`ExecError`] values, not panics.
 
 use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
-use crate::durable::{decode_grover_progress, encode_grover_progress, GroverProgress};
+use crate::durable::GroverProgress;
 use crate::error::ExecError;
 use crate::fault::FaultInjection;
 use crate::journal::RunCtx;
@@ -82,11 +82,8 @@ impl Backend for GroverBackend {
         // interrupted (each guess is seeded by `seed ^ j`, so the
         // continuation is the same search the crashed run was in the
         // middle of).
-        let restored = ctx
-            .ckpt
-            .load("grover")
-            .and_then(|buf| decode_grover_progress(&buf))
-            .filter(|p| p.next_guess <= self.max_guesses);
+        let restored =
+            ctx.restore::<GroverProgress>("grover").filter(|p| p.next_guess <= self.max_guesses);
         let start_guess = restored.as_ref().map_or(0, |p| p.next_guess);
         let mut m = restored.as_ref().map_or(1.0f64, |p| p.m);
         let mut found: Option<Vec<bool>> = None;
@@ -112,15 +109,15 @@ impl Backend for GroverBackend {
                 break;
             }
             m = (m * BBHT_GROWTH).min((1u64 << n) as f64);
-            ctx.ckpt.save(
+            ctx.checkpoint(
                 "grover",
-                &encode_grover_progress(&GroverProgress {
+                &GroverProgress {
                     next_guess: j + 1,
                     measurements: measurements as u64,
                     total_iterations: total_iterations as u64,
                     m,
                     success_probability,
-                }),
+                },
             );
         }
         ctx.stages.sample = t.elapsed();

@@ -1,23 +1,31 @@
 //! Durable execution: the wire format and live sink that persist a
 //! supervised run into an [`nck_store::RunStore`].
 //!
-//! Everything a resumed run needs crosses this module as one of two
+//! Everything a resumed run needs crosses this module as one of three
 //! byte shapes:
 //!
 //! * **WAL records** — a [`Record`] per journal event, budget-progress
 //!   mark, rung completion, mid-solve checkpoint, and terminal event,
 //!   appended (and fsynced) as the run proceeds;
 //! * **snapshots** — a serialized [`RecoveredRun`] written at rung
-//!   boundaries and at the end of the run, collapsing the WAL.
+//!   boundaries and at the end of the run, collapsing the WAL;
+//! * **checkpoint payloads** — a backend's solver state (annealer
+//!   reads, Nelder–Mead simplex, branch-and-bound incumbent, Grover
+//!   schedule position), carried inside a checkpoint record. Backends
+//!   save and restore them as typed values through their
+//!   [`RunCtx`](crate::RunCtx), never as bytes.
 //!
-//! The codec is hand-rolled little-endian (the workspace is
-//! dependency-free by policy) and *exact*: journal timestamps are
-//! monotonic offsets serialized as whole seconds plus subsecond
-//! nanoseconds, so a decoded journal compares equal — `Duration` and
-//! all — to the one that was encoded. Floats travel as raw IEEE-754
-//! bits for the same reason. A journal event's error is the same value
-//! in memory and on disk — its rendered text — so it travels as a
-//! plain string; the typed [`ExecError`](crate::ExecError) stays on
+//! All three are written by one crate-private codec trait, `Wire`,
+//! implemented once per type, so this module alone decides the store's
+//! bytes. The format is hand-rolled little-endian (the workspace is
+//! dependency-free by policy) and *exact*: integers are fixed-width,
+//! `usize` travels as `u64`, floats as raw IEEE-754 bits, a `bool` as
+//! one byte 0 or 1, strings and sequences behind a `u64` length, and
+//! journal timestamps as whole seconds plus subsecond nanoseconds, so a
+//! decoded journal compares equal — `Duration` and all — to the one
+//! that was encoded. A journal event's error is the same value in
+//! memory and on disk — its rendered text — so it travels as a plain
+//! string; the typed [`ExecError`](crate::ExecError) stays on
 //! [`FailedAttempt`](crate::FailedAttempt). Every other string an event
 //! carries comes from a closed vocabulary of backend, stage and
 //! fallback names: a name outside it, or a failure event written in the
@@ -25,8 +33,9 @@
 //! [`StoreError::Corrupt`]. Decoding is an untrusted-input path
 //! (the file may be truncated or bit-flipped in ways the store's CRC
 //! already rejects, but defense in depth is cheap): every decoder
-//! returns a typed error or `None`, never panics, and never allocates
-//! more than the input's own length.
+//! returns a typed error (a checkpoint payload that does not decode is
+//! dropped, and its solve starts over), never panics, and checks every
+//! length prefix against the bytes left before reading on.
 
 use crate::journal::{JournalEvent, JournalKind, RunJournal};
 use nck_anneal::AnnealSample;
@@ -35,6 +44,7 @@ use nck_circuit::NmState;
 use nck_classical::Incumbent;
 use nck_store::{Recovered, RunStore, StoreError};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -43,52 +53,50 @@ use std::time::Duration;
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 16;
 
 // ---------------------------------------------------------------------
-// Primitive codec
+// The codec
 // ---------------------------------------------------------------------
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// A value with one byte encoding in the run store. Records, snapshots
+/// and checkpoint payloads are all composed from these impls. The
+/// unsized impls (`str`, `[T]`) only encode: they write borrowed names
+/// and sample runs without a copy, and read back as `String` and
+/// `Vec<T>`.
+pub(crate) trait Wire {
+    /// Append this value's bytes to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Read one value; a short or malformed buffer is a typed
+    /// [`StoreError::Corrupt`], never a panic.
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError>
+    where
+        Self: Sized;
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The bytes of `value`.
+pub(crate) fn encode<T: Wire + ?Sized>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.put(&mut out);
+    out
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Decode `buf` as exactly one `T`; trailing bytes are corruption.
+pub(crate) fn decode<T: Wire>(buf: &[u8]) -> Result<T, StoreError> {
+    let mut r = Reader { buf, pos: 0 };
+    let value = T::get(&mut r)?;
+    if r.pos != buf.len() {
+        return Err(r.corrupt("trailing bytes after record"));
+    }
+    Ok(value)
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    put_u64(out, v.len() as u64);
-    out.extend_from_slice(v);
-}
-
-fn put_str(out: &mut Vec<u8>, v: &str) {
-    put_bytes(out, v.as_bytes());
-}
-
-fn put_duration(out: &mut Vec<u8>, d: Duration) {
-    put_u64(out, d.as_secs());
-    put_u32(out, d.subsec_nanos());
-}
-
-/// Bounded little-endian reader over an untrusted byte slice. Every
-/// read is range-checked; a short or malformed buffer yields a typed
-/// [`StoreError::Corrupt`], never a panic.
-struct Reader<'a> {
+/// Bounded reader over an untrusted byte slice. Every read is
+/// range-checked.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
     fn corrupt(&self, reason: &str) -> StoreError {
         StoreError::Corrupt {
             path: "<record>".to_string(),
@@ -107,70 +115,28 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn usize(&mut self) -> Result<usize, StoreError> {
-        usize::try_from(self.u64()?).map_err(|_| self.corrupt("count exceeds usize"))
-    }
-
-    fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A length-prefixed byte string. The length is validated against
-    /// the bytes actually present, so a flipped length field cannot
-    /// trigger a huge allocation.
-    fn bytes(&mut self) -> Result<&'a [u8], StoreError> {
-        let n = self.usize()?;
+    /// A length prefix, validated against the bytes actually present.
+    /// Every element takes at least one byte, so a flipped length fails
+    /// here instead of driving a huge allocation or a long loop.
+    fn length(&mut self) -> Result<usize, StoreError> {
+        let n = usize::get(self)?;
         if n > self.buf.len().saturating_sub(self.pos) {
             return Err(self.corrupt("length prefix exceeds record"));
         }
-        self.take(n)
-    }
-
-    fn string(&mut self) -> Result<String, StoreError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| self.corrupt("invalid utf-8"))
+        Ok(n)
     }
 
     /// A journaled name, decoded to the same `&'static str` the
     /// execution layer journals. The vocabulary is closed: a name
     /// outside it is corruption, not something to leak a string for.
     fn name(&mut self) -> Result<&'static str, StoreError> {
-        let b = self.bytes()?;
+        let n = self.length()?;
+        let b = self.take(n)?;
         NAMES
             .iter()
             .copied()
             .find(|n| n.as_bytes() == b)
             .ok_or_else(|| self.corrupt("unknown name"))
-    }
-
-    fn duration(&mut self) -> Result<Duration, StoreError> {
-        let secs = self.u64()?;
-        let nanos = self.u32()?;
-        if nanos >= 1_000_000_000 {
-            return Err(self.corrupt("subsecond nanoseconds out of range"));
-        }
-        Ok(Duration::new(secs, nanos))
-    }
-
-    fn finish(&self) -> Result<(), StoreError> {
-        if self.pos != self.buf.len() {
-            return Err(self.corrupt("trailing bytes after record"));
-        }
-        Ok(())
     }
 }
 
@@ -201,85 +167,249 @@ const NAMES: &[&str] = &[
     "analytic p=1 QAOA",
 ];
 
-// ---------------------------------------------------------------------
-// Journal event codec
-// ---------------------------------------------------------------------
+/// Fixed-width little-endian integers.
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
 
-fn put_journal_event(out: &mut Vec<u8>, e: &JournalEvent) {
-    put_duration(out, e.at);
-    put_str(out, e.backend);
-    put_u32(out, e.attempt);
-    match &e.kind {
-        JournalKind::AttemptStarted => put_u8(out, 0),
-        JournalKind::StageFailed { stage, error, suppressed } => {
-            put_u8(out, 12);
-            put_str(out, stage);
-            put_str(out, error);
-            put_u8(out, u8::from(*suppressed));
+            fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+                const N: usize = std::mem::size_of::<$t>();
+                let mut b = [0; N];
+                b.copy_from_slice(r.take(N)?);
+                Ok(<$t>::from_le_bytes(b))
+            }
         }
-        JournalKind::FallbackTaken { what } => {
-            put_u8(out, 2);
-            put_str(out, what);
-        }
-        JournalKind::Retry { backoff } => {
-            put_u8(out, 3);
-            put_duration(out, *backoff);
-        }
-        JournalKind::BreakerOpened => put_u8(out, 4),
-        JournalKind::BreakerShortCircuit => put_u8(out, 5),
-        JournalKind::BreakerProbe => put_u8(out, 6),
-        JournalKind::RungExhausted { reason } => {
-            put_u8(out, 7);
-            put_str(out, reason);
-        }
-        JournalKind::LadderStep { from, to } => {
-            put_u8(out, 8);
-            put_str(out, from);
-            put_str(out, to);
-        }
-        JournalKind::PartialResult { candidates } => {
-            put_u8(out, 9);
-            put_u64(out, *candidates as u64);
-        }
-        JournalKind::Succeeded => put_u8(out, 10),
-        JournalKind::Failed { error } => {
-            put_u8(out, 13);
-            put_str(out, error);
+    )*};
+}
+
+wire_le!(u8, u32, u64);
+
+impl Wire for usize {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        usize::try_from(u64::get(r)?).map_err(|_| r.corrupt("count exceeds usize"))
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(f64::from_bits(u64::get(r)?))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(r.corrupt("flag out of range")),
         }
     }
 }
 
-fn read_journal_event(r: &mut Reader<'_>) -> Result<JournalEvent, StoreError> {
-    let at = r.duration()?;
-    let backend = r.name()?;
-    let attempt = r.u32()?;
-    // Tags 1 and 11 held structurally encoded errors in an earlier
-    // format; they are retired, so such a store fails typed here.
-    let kind = match r.u8()? {
-        0 => JournalKind::AttemptStarted,
-        2 => JournalKind::FallbackTaken { what: r.name()? },
-        3 => JournalKind::Retry { backoff: r.duration()? },
-        4 => JournalKind::BreakerOpened,
-        5 => JournalKind::BreakerShortCircuit,
-        6 => JournalKind::BreakerProbe,
-        7 => JournalKind::RungExhausted { reason: r.string()? },
-        8 => JournalKind::LadderStep { from: r.name()?, to: r.name()? },
-        9 => JournalKind::PartialResult { candidates: r.usize()? },
-        10 => JournalKind::Succeeded,
-        12 => JournalKind::StageFailed {
-            stage: r.name()?,
-            error: r.string()?,
-            suppressed: r.u8()? != 0,
-        },
-        13 => JournalKind::Failed { error: r.string()? },
-        _ => return Err(r.corrupt("unknown journal kind tag")),
+/// A run's terminal state: one byte, 0 (running), 1 (failed) or 2
+/// (succeeded).
+impl Wire for Option<bool> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => 0u8,
+            Some(false) => 1,
+            Some(true) => 2,
+        }
+        .put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(false)),
+            2 => Ok(Some(true)),
+            _ => Err(r.corrupt("finished flag out of range")),
+        }
+    }
+}
+
+impl Wire for Duration {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_secs().put(out);
+        self.subsec_nanos().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let secs = u64::get(r)?;
+        let nanos = u32::get(r)?;
+        if nanos >= 1_000_000_000 {
+            return Err(r.corrupt("subsecond nanoseconds out of range"));
+        }
+        Ok(Duration::new(secs, nanos))
+    }
+}
+
+impl Wire for str {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_bytes().put(out);
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_str().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let n = r.length()?;
+        String::from_utf8(r.take(n)?.to_vec()).map_err(|_| r.corrupt("invalid utf-8"))
+    }
+}
+
+impl<T: Wire> Wire for [T] {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_slice().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        // No capacity up front: the vector grows with what decodes.
+        let n = r.length()?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+impl<T: Wire + Clone> Wire for Cow<'_, [T]> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (**self).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Vec::get(r).map(Cow::Owned)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A struct that travels as its listed fields, in order.
+macro_rules! wire_fields {
+    ($t:ty { $($field:ident),* }) => {
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+                Ok(Self { $($field: Wire::get(r)?),* })
+            }
+        }
     };
-    Ok(JournalEvent { at, backend, attempt, kind })
 }
 
 // ---------------------------------------------------------------------
-// WAL records
+// Journal events and WAL records
 // ---------------------------------------------------------------------
+
+impl Wire for JournalEvent {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.at.put(out);
+        self.backend.put(out);
+        self.attempt.put(out);
+        match &self.kind {
+            JournalKind::AttemptStarted => 0u8.put(out),
+            JournalKind::StageFailed { stage, error, suppressed } => {
+                12u8.put(out);
+                stage.put(out);
+                error.put(out);
+                suppressed.put(out);
+            }
+            JournalKind::FallbackTaken { what } => {
+                2u8.put(out);
+                what.put(out);
+            }
+            JournalKind::Retry { backoff } => {
+                3u8.put(out);
+                backoff.put(out);
+            }
+            JournalKind::BreakerOpened => 4u8.put(out),
+            JournalKind::BreakerShortCircuit => 5u8.put(out),
+            JournalKind::BreakerProbe => 6u8.put(out),
+            JournalKind::RungExhausted { reason } => {
+                7u8.put(out);
+                reason.put(out);
+            }
+            JournalKind::LadderStep { from, to } => {
+                8u8.put(out);
+                from.put(out);
+                to.put(out);
+            }
+            JournalKind::PartialResult { candidates } => {
+                9u8.put(out);
+                candidates.put(out);
+            }
+            JournalKind::Succeeded => 10u8.put(out),
+            JournalKind::Failed { error } => {
+                13u8.put(out);
+                error.put(out);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        let at = Duration::get(r)?;
+        let backend = r.name()?;
+        let attempt = u32::get(r)?;
+        // Tags 1 and 11 held structurally encoded errors in an earlier
+        // format; they are retired, so such a store fails typed here.
+        let kind = match u8::get(r)? {
+            0 => JournalKind::AttemptStarted,
+            2 => JournalKind::FallbackTaken { what: r.name()? },
+            3 => JournalKind::Retry { backoff: Wire::get(r)? },
+            4 => JournalKind::BreakerOpened,
+            5 => JournalKind::BreakerShortCircuit,
+            6 => JournalKind::BreakerProbe,
+            7 => JournalKind::RungExhausted { reason: Wire::get(r)? },
+            8 => JournalKind::LadderStep { from: r.name()?, to: r.name()? },
+            9 => JournalKind::PartialResult { candidates: Wire::get(r)? },
+            10 => JournalKind::Succeeded,
+            12 => JournalKind::StageFailed {
+                stage: r.name()?,
+                error: Wire::get(r)?,
+                suppressed: Wire::get(r)?,
+            },
+            13 => JournalKind::Failed { error: Wire::get(r)? },
+            _ => return Err(r.corrupt("unknown journal kind tag")),
+        };
+        Ok(JournalEvent { at, backend, attempt, kind })
+    }
+}
 
 /// One durable WAL record of a supervised run.
 #[derive(Clone, Debug, PartialEq)]
@@ -310,7 +440,7 @@ pub enum Record {
     Checkpoint {
         /// The backend's checkpoint tag.
         tag: String,
-        /// Opaque payload; the backend's codec gives it meaning.
+        /// The encoded solver state; opaque to the WAL.
         payload: Vec<u8>,
     },
     /// The run reached a terminal event; resuming is now an error.
@@ -320,63 +450,62 @@ pub enum Record {
     },
 }
 
-/// Encode one [`Record`] for the WAL.
-pub fn encode_record(rec: &Record) -> Vec<u8> {
-    let mut out = Vec::new();
-    match rec {
-        Record::Journal(e) => {
-            put_u8(&mut out, 1);
-            put_journal_event(&mut out, e);
-        }
-        Record::Progress { rung, rung_attempt, global_attempt, samples_used } => {
-            put_u8(&mut out, 2);
-            put_u32(&mut out, *rung);
-            put_u32(&mut out, *rung_attempt);
-            put_u32(&mut out, *global_attempt);
-            put_u64(&mut out, *samples_used);
-        }
-        Record::RungCompleted { rung } => {
-            put_u8(&mut out, 3);
-            put_u32(&mut out, *rung);
-        }
-        Record::Checkpoint { tag, payload } => {
-            put_u8(&mut out, 4);
-            put_str(&mut out, tag);
-            put_bytes(&mut out, payload);
-        }
-        Record::Finished { success } => {
-            put_u8(&mut out, 5);
-            put_u8(&mut out, u8::from(*success));
+impl Wire for Record {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Record::Journal(e) => {
+                1u8.put(out);
+                e.put(out);
+            }
+            Record::Progress { rung, rung_attempt, global_attempt, samples_used } => {
+                2u8.put(out);
+                rung.put(out);
+                rung_attempt.put(out);
+                global_attempt.put(out);
+                samples_used.put(out);
+            }
+            Record::RungCompleted { rung } => {
+                3u8.put(out);
+                rung.put(out);
+            }
+            Record::Checkpoint { tag, payload } => {
+                4u8.put(out);
+                tag.put(out);
+                payload.put(out);
+            }
+            Record::Finished { success } => {
+                5u8.put(out);
+                success.put(out);
+            }
         }
     }
-    out
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(match u8::get(r)? {
+            1 => Record::Journal(Wire::get(r)?),
+            2 => Record::Progress {
+                rung: Wire::get(r)?,
+                rung_attempt: Wire::get(r)?,
+                global_attempt: Wire::get(r)?,
+                samples_used: Wire::get(r)?,
+            },
+            3 => Record::RungCompleted { rung: Wire::get(r)? },
+            4 => Record::Checkpoint { tag: Wire::get(r)?, payload: Wire::get(r)? },
+            5 => Record::Finished { success: Wire::get(r)? },
+            _ => return Err(r.corrupt("unknown record tag")),
+        })
+    }
+}
+
+/// Encode one [`Record`] for the WAL.
+pub fn encode_record(rec: &Record) -> Vec<u8> {
+    encode(rec)
 }
 
 /// Decode one WAL record. Typed error — never a panic — on any
 /// malformed input.
 pub fn decode_record(buf: &[u8]) -> Result<Record, StoreError> {
-    let mut r = Reader::new(buf);
-    let rec = match r.u8()? {
-        1 => Record::Journal(read_journal_event(&mut r)?),
-        2 => Record::Progress {
-            rung: r.u32()?,
-            rung_attempt: r.u32()?,
-            global_attempt: r.u32()?,
-            samples_used: r.u64()?,
-        },
-        3 => Record::RungCompleted { rung: r.u32()? },
-        4 => Record::Checkpoint { tag: r.string()?, payload: r.bytes()?.to_vec() },
-        5 => Record::Finished {
-            success: match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(r.corrupt("finished flag out of range")),
-            },
-        },
-        _ => return Err(r.corrupt("unknown record tag")),
-    };
-    r.finish()?;
-    Ok(rec)
+    decode(buf)
 }
 
 // ---------------------------------------------------------------------
@@ -410,6 +539,34 @@ pub struct RecoveredRun {
     pub finished: Option<bool>,
 }
 
+/// The snapshot format. Mid-solve checkpoints are *not* snapshotted:
+/// snapshots are taken at rung boundaries and at the end of the run,
+/// where in-rung solver state is dead weight.
+impl Wire for RecoveredRun {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.elapsed.put(out);
+        self.completed_rungs.put(out);
+        self.rung_attempt.put(out);
+        self.global_attempt.put(out);
+        self.samples_used.put(out);
+        self.finished.put(out);
+        self.journal.events.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, StoreError> {
+        Ok(RecoveredRun {
+            elapsed: Wire::get(r)?,
+            completed_rungs: Wire::get(r)?,
+            rung_attempt: Wire::get(r)?,
+            global_attempt: Wire::get(r)?,
+            samples_used: Wire::get(r)?,
+            finished: Wire::get(r)?,
+            journal: RunJournal { events: Wire::get(r)? },
+            checkpoints: HashMap::new(),
+        })
+    }
+}
+
 impl RecoveredRun {
     /// Fold one WAL record into the recovered state.
     pub fn apply(&mut self, rec: Record) {
@@ -441,61 +598,14 @@ impl RecoveredRun {
         }
     }
 
-    /// Serialize for a snapshot. Mid-solve checkpoints are *not*
-    /// snapshotted: snapshots are taken at rung boundaries and at the
-    /// end of the run, where in-rung solver state is dead weight.
+    /// Serialize for a snapshot, without the mid-solve checkpoints.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_duration(&mut out, self.elapsed);
-        put_u32(&mut out, self.completed_rungs);
-        put_u32(&mut out, self.rung_attempt);
-        put_u32(&mut out, self.global_attempt);
-        put_u64(&mut out, self.samples_used);
-        put_u8(
-            &mut out,
-            match self.finished {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            },
-        );
-        put_u64(&mut out, self.journal.events.len() as u64);
-        for e in &self.journal.events {
-            put_journal_event(&mut out, e);
-        }
-        out
+        encode(self)
     }
 
     /// Decode a snapshot produced by [`encode`](RecoveredRun::encode).
     pub fn decode(buf: &[u8]) -> Result<RecoveredRun, StoreError> {
-        let mut r = Reader::new(buf);
-        let elapsed = r.duration()?;
-        let completed_rungs = r.u32()?;
-        let rung_attempt = r.u32()?;
-        let global_attempt = r.u32()?;
-        let samples_used = r.u64()?;
-        let finished = match r.u8()? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            _ => return Err(r.corrupt("finished flag out of range")),
-        };
-        let n = r.usize()?;
-        let mut journal = RunJournal::default();
-        for _ in 0..n {
-            journal.events.push(read_journal_event(&mut r)?);
-        }
-        r.finish()?;
-        Ok(RecoveredRun {
-            journal,
-            elapsed,
-            completed_rungs,
-            rung_attempt,
-            global_attempt,
-            samples_used,
-            checkpoints: HashMap::new(),
-            finished,
-        })
+        decode(buf)
     }
 
     /// Rebuild the run state from what the store recovered on open:
@@ -512,6 +622,34 @@ impl RecoveredRun {
         Ok(run)
     }
 }
+
+// ---------------------------------------------------------------------
+// Backend checkpoint payloads
+// ---------------------------------------------------------------------
+
+/// Progress of the Grover backend's BBHT schedule.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GroverProgress {
+    /// Next BBHT guess index to run.
+    pub next_guess: u64,
+    /// Measurements taken so far.
+    pub measurements: u64,
+    /// Grover iterations accumulated so far.
+    pub total_iterations: u64,
+    /// The current BBHT iteration-count estimate `m`.
+    pub m: f64,
+    /// Success probability reported by the last measurement.
+    pub success_probability: f64,
+}
+
+// The annealer checkpoints `(reads_done, samples)`: reads completed
+// plus every decoded sample so far, in generation order. The QAOA
+// backend checkpoints its Nelder–Mead state, the classical backend its
+// branch-and-bound incumbent, the Grover backend its BBHT position.
+wire_fields!(AnnealSample { assignment, energy, broken_chains });
+wire_fields!(NmState { evaluations, iterations, simplex });
+wire_fields!(Incumbent { assignment, soft_satisfied, soft_weight, violated_weight });
+wire_fields!(GroverProgress { next_guess, measurements, total_iterations, m, success_probability });
 
 // ---------------------------------------------------------------------
 // The live sink
@@ -613,178 +751,6 @@ impl Checkpointer for DurableRun {
     fn interval(&self) -> u64 {
         self.interval
     }
-}
-
-// ---------------------------------------------------------------------
-// Backend checkpoint payloads
-// ---------------------------------------------------------------------
-
-/// Encode annealer progress: reads completed plus every decoded sample
-/// so far, in generation order.
-pub fn encode_anneal_progress(reads_done: usize, samples: &[AnnealSample]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, reads_done as u64);
-    put_u64(&mut out, samples.len() as u64);
-    for s in samples {
-        put_u64(&mut out, s.assignment.len() as u64);
-        for &b in &s.assignment {
-            put_u8(&mut out, u8::from(b));
-        }
-        put_f64(&mut out, s.energy);
-        put_u64(&mut out, s.broken_chains as u64);
-    }
-    out
-}
-
-/// Decode annealer progress; `None` on any malformed payload (the
-/// backend then starts the job from scratch).
-pub fn decode_anneal_progress(buf: &[u8]) -> Option<(usize, Vec<AnnealSample>)> {
-    let mut r = Reader::new(buf);
-    let inner = |r: &mut Reader<'_>| -> Result<(usize, Vec<AnnealSample>), StoreError> {
-        let reads_done = r.usize()?;
-        let n = r.usize()?;
-        let mut samples = Vec::new();
-        for _ in 0..n {
-            let len = r.usize()?;
-            if len > r.buf.len().saturating_sub(r.pos) {
-                return Err(r.corrupt("assignment length exceeds payload"));
-            }
-            let mut assignment = Vec::with_capacity(len);
-            for _ in 0..len {
-                assignment.push(r.u8()? != 0);
-            }
-            let energy = r.f64()?;
-            let broken_chains = r.usize()?;
-            samples.push(AnnealSample { assignment, energy, broken_chains });
-        }
-        r.finish()?;
-        Ok((reads_done, samples))
-    };
-    inner(&mut r).ok()
-}
-
-/// Encode a Nelder–Mead optimizer state (the QAOA backend's
-/// checkpoint).
-pub fn encode_nm_state(state: &NmState) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, state.evaluations as u64);
-    put_u64(&mut out, state.iterations as u64);
-    put_u64(&mut out, state.simplex.len() as u64);
-    for (x, fx) in &state.simplex {
-        put_u64(&mut out, x.len() as u64);
-        for &v in x {
-            put_f64(&mut out, v);
-        }
-        put_f64(&mut out, *fx);
-    }
-    out
-}
-
-/// Decode a Nelder–Mead optimizer state; `None` on any malformed
-/// payload.
-pub fn decode_nm_state(buf: &[u8]) -> Option<NmState> {
-    let mut r = Reader::new(buf);
-    let inner = |r: &mut Reader<'_>| -> Result<NmState, StoreError> {
-        let evaluations = r.usize()?;
-        let iterations = r.usize()?;
-        let n = r.usize()?;
-        let mut simplex = Vec::new();
-        for _ in 0..n {
-            let d = r.usize()?;
-            if d.saturating_mul(8) > r.buf.len().saturating_sub(r.pos) {
-                return Err(r.corrupt("simplex vertex exceeds payload"));
-            }
-            let mut x = Vec::with_capacity(d);
-            for _ in 0..d {
-                x.push(r.f64()?);
-            }
-            let fx = r.f64()?;
-            simplex.push((x, fx));
-        }
-        r.finish()?;
-        Ok(NmState { simplex, evaluations, iterations })
-    };
-    inner(&mut r).ok()
-}
-
-/// Encode a branch-and-bound incumbent (the classical backend's
-/// checkpoint).
-pub fn encode_incumbent(inc: &Incumbent) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, inc.assignment.len() as u64);
-    for &b in &inc.assignment {
-        put_u8(&mut out, u8::from(b));
-    }
-    put_u64(&mut out, inc.soft_satisfied as u64);
-    put_u64(&mut out, inc.soft_weight);
-    put_u64(&mut out, inc.violated_weight);
-    out
-}
-
-/// Decode a branch-and-bound incumbent; `None` on any malformed
-/// payload.
-pub fn decode_incumbent(buf: &[u8]) -> Option<Incumbent> {
-    let mut r = Reader::new(buf);
-    let inner = |r: &mut Reader<'_>| -> Result<Incumbent, StoreError> {
-        let len = r.usize()?;
-        if len > r.buf.len().saturating_sub(r.pos) {
-            return Err(r.corrupt("assignment length exceeds payload"));
-        }
-        let mut assignment = Vec::with_capacity(len);
-        for _ in 0..len {
-            assignment.push(r.u8()? != 0);
-        }
-        let soft_satisfied = r.usize()?;
-        let soft_weight = r.u64()?;
-        let violated_weight = r.u64()?;
-        r.finish()?;
-        Ok(Incumbent { assignment, soft_satisfied, soft_weight, violated_weight })
-    };
-    inner(&mut r).ok()
-}
-
-/// Progress of the Grover backend's BBHT schedule.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GroverProgress {
-    /// Next BBHT guess index to run.
-    pub next_guess: u64,
-    /// Measurements taken so far.
-    pub measurements: u64,
-    /// Grover iterations accumulated so far.
-    pub total_iterations: u64,
-    /// The current BBHT iteration-count estimate `m`.
-    pub m: f64,
-    /// Success probability reported by the last measurement.
-    pub success_probability: f64,
-}
-
-/// Encode the Grover backend's BBHT schedule position.
-pub fn encode_grover_progress(p: &GroverProgress) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, p.next_guess);
-    put_u64(&mut out, p.measurements);
-    put_u64(&mut out, p.total_iterations);
-    put_f64(&mut out, p.m);
-    put_f64(&mut out, p.success_probability);
-    out
-}
-
-/// Decode the Grover backend's BBHT schedule position; `None` on any
-/// malformed payload.
-pub fn decode_grover_progress(buf: &[u8]) -> Option<GroverProgress> {
-    let mut r = Reader::new(buf);
-    let inner = |r: &mut Reader<'_>| -> Result<GroverProgress, StoreError> {
-        let p = GroverProgress {
-            next_guess: r.u64()?,
-            measurements: r.u64()?,
-            total_iterations: r.u64()?,
-            m: r.f64()?,
-            success_probability: r.f64()?,
-        };
-        r.finish()?;
-        Ok(p)
-    };
-    inner(&mut r).ok()
 }
 
 #[cfg(test)]
@@ -932,14 +898,14 @@ mod tests {
         // (here 6 = `NoCandidates`, 3 = `Unsatisfiable`) and fields.
         let old_record = |kind: &[u8]| {
             let mut out = vec![1u8];
-            put_duration(&mut out, Duration::from_millis(3));
-            put_str(&mut out, "annealer");
-            put_u32(&mut out, 0);
+            Duration::from_millis(3).put(&mut out);
+            "annealer".put(&mut out);
+            0u32.put(&mut out);
             out.extend_from_slice(kind);
             out
         };
         let mut stage_failed = vec![1u8];
-        put_str(&mut stage_failed, "sample");
+        "sample".put(&mut stage_failed);
         stage_failed.extend_from_slice(&[6, 0]);
         for kind in [stage_failed, vec![11, 3]] {
             let err = decode_record(&old_record(&kind)).unwrap_err();
@@ -953,11 +919,7 @@ mod tests {
         // durations serialized exactly (secs + subsec nanos), never
         // wall-clock, so a replayed journal compares equal.
         for e in sample_events() {
-            let mut bytes = Vec::new();
-            put_journal_event(&mut bytes, &e);
-            let mut r = Reader::new(&bytes);
-            let back = read_journal_event(&mut r).unwrap();
-            r.finish().unwrap();
+            let back: JournalEvent = decode(&encode(&e)).unwrap();
             assert_eq!(back, e);
             assert_eq!(back.at.as_nanos(), e.at.as_nanos());
         }
@@ -1039,12 +1001,12 @@ mod tests {
         assert!(decode_record(&[]).is_err());
         assert!(decode_record(&[99]).is_err());
         let mut hostile = vec![4u8];
-        put_u64(&mut hostile, u64::MAX); // tag length far beyond the buffer
+        u64::MAX.put(&mut hostile); // tag length far beyond the buffer
         hostile.extend_from_slice(b"xx");
         assert!(decode_record(&hostile).is_err());
         let mut bad_utf8 = vec![4u8];
-        put_bytes(&mut bad_utf8, &[0xff, 0xfe]);
-        put_bytes(&mut bad_utf8, b"");
+        [0xffu8, 0xfe].put(&mut bad_utf8);
+        [0u8; 0].put(&mut bad_utf8);
         assert!(decode_record(&bad_utf8).is_err());
         // Snapshots too.
         let snap = RecoveredRun { completed_rungs: 3, ..Default::default() }.encode();
@@ -1124,23 +1086,23 @@ mod tests {
             };
             frames.push(run.encode());
         }
-        let samples = vec![
+        let samples = [
             AnnealSample { assignment: vec![true, false, true], energy: -1.25, broken_chains: 2 },
             AnnealSample { assignment: vec![], energy: f64::MIN_POSITIVE, broken_chains: 0 },
         ];
-        frames.push(encode_anneal_progress(17, &samples));
-        frames.push(encode_nm_state(&NmState {
+        frames.push(encode(&(17usize, Cow::Borrowed(&samples[..]))));
+        frames.push(encode(&NmState {
             simplex: vec![(vec![0.1, -0.2], 3.5), (vec![1.0, 2.0], -0.5), (vec![0.0, 0.0], 9.0)],
             evaluations: 41,
             iterations: 12,
         }));
-        frames.push(encode_incumbent(&Incumbent {
+        frames.push(encode(&Incumbent {
             assignment: vec![true, true, false],
             soft_satisfied: 2,
             soft_weight: 5,
             violated_weight: 1,
         }));
-        frames.push(encode_grover_progress(&GroverProgress {
+        frames.push(encode(&GroverProgress {
             next_guess: 9,
             measurements: 9,
             total_iterations: 140,
@@ -1185,7 +1147,10 @@ mod tests {
             AnnealSample { assignment: vec![true, false, true], energy: -1.25, broken_chains: 2 },
             AnnealSample { assignment: vec![false], energy: f64::MIN_POSITIVE, broken_chains: 0 },
         ];
-        let (done, back) = decode_anneal_progress(&encode_anneal_progress(17, &samples)).unwrap();
+        // The annealer saves borrowed samples and restores owned ones.
+        let bytes = encode(&(17usize, Cow::Borrowed(&samples[..])));
+        assert_eq!(bytes, encode(&(17usize, samples.clone())));
+        let (done, back): (usize, Vec<AnnealSample>) = decode(&bytes).unwrap();
         assert_eq!(done, 17);
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].assignment, samples[0].assignment);
@@ -1197,7 +1162,7 @@ mod tests {
             evaluations: 41,
             iterations: 12,
         };
-        assert_eq!(decode_nm_state(&encode_nm_state(&nm)).unwrap(), nm);
+        assert_eq!(decode::<NmState>(&encode(&nm)).unwrap(), nm);
 
         let inc = Incumbent {
             assignment: vec![true, true, false],
@@ -1205,7 +1170,7 @@ mod tests {
             soft_weight: 5,
             violated_weight: 1,
         };
-        assert_eq!(decode_incumbent(&encode_incumbent(&inc)).unwrap(), inc);
+        assert_eq!(decode::<Incumbent>(&encode(&inc)).unwrap(), inc);
 
         let g = GroverProgress {
             next_guess: 9,
@@ -1214,14 +1179,17 @@ mod tests {
             m: 10.6044,
             success_probability: 0.82,
         };
-        assert_eq!(decode_grover_progress(&encode_grover_progress(&g)).unwrap(), g);
+        assert_eq!(decode::<GroverProgress>(&encode(&g)).unwrap(), g);
 
-        // Malformed payloads decode to None, never panic.
-        for buf in [&b""[..], &[0xff; 7][..], &[0xff; 64][..]] {
-            assert!(decode_anneal_progress(buf).is_none());
-            assert!(decode_nm_state(buf).is_none());
-            assert!(decode_incumbent(buf).is_none());
-            assert!(decode_grover_progress(buf).is_none());
+        // Malformed payloads are typed errors, never panics: empty,
+        // short, hostile lengths, and a flag byte no encoder writes.
+        let mut bad_flag = encode(&inc);
+        bad_flag[8] = 2;
+        for buf in [&b""[..], &[0xff; 7][..], &[0xff; 64][..], &bad_flag[..]] {
+            assert!(decode::<(usize, Vec<AnnealSample>)>(buf).is_err());
+            assert!(decode::<NmState>(buf).is_err());
+            assert!(decode::<Incumbent>(buf).is_err());
+            assert!(decode::<GroverProgress>(buf).is_err());
         }
     }
 }

@@ -8,6 +8,7 @@
 //! failed; a ladder rescue records which rung burned how many attempts
 //! before the next rung took over.
 
+use crate::durable::{decode, encode, Wire};
 use crate::error::ExecError;
 use crate::stage::StageTimings;
 use nck_cancel::{CancelToken, Checkpointer, NoopCheckpointer};
@@ -231,6 +232,18 @@ impl RunCtx {
     /// now.
     pub fn plain(backend: &'static str) -> Self {
         RunCtx::new(backend, CancelToken::never(), 0, Instant::now())
+    }
+
+    /// The checkpoint a resumed run saved under `tag`, if there is one
+    /// and it decodes as a `T`. A payload that does not decode is
+    /// dropped, and the solve starts from scratch.
+    pub(crate) fn restore<T: Wire>(&self, tag: &str) -> Option<T> {
+        self.ckpt.load(tag).and_then(|buf| decode(&buf).ok())
+    }
+
+    /// Save `value` as the solve's checkpoint under `tag`.
+    pub(crate) fn checkpoint<T: Wire + ?Sized>(&self, tag: &str, value: &T) {
+        self.ckpt.save(tag, &encode(value));
     }
 
     /// Mark the pipeline stage currently executing.
