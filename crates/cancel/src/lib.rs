@@ -9,7 +9,10 @@
 //! iterations, the Grover guess loop, and the classical search all
 //! poll — so a run under budget pressure winds down cooperatively with
 //! whatever partial results it has, instead of being abandoned
-//! mid-flight or running forever.
+//! mid-flight or running forever. Tokens nest: a
+//! [`child`](CancelToken::child) token (one ladder rung's share of a
+//! supervised run's deadline, say) fires with its parent or on its own
+//! deadline, and never cancels the parent.
 //!
 //! The token is deliberately dependency-free and lives below every
 //! substrate crate (`nck-anneal`, `nck-circuit`, `nck-classical`), so
@@ -25,14 +28,18 @@ use std::time::{Duration, Instant};
 struct Inner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
+    parent: Option<CancelToken>,
 }
 
 /// A cheap, cloneable cancellation token: an explicit cancel flag plus
-/// an optional wall-clock deadline. Clones share state.
+/// an optional wall-clock deadline, and optionally a parent token whose
+/// cancellation it inherits ([`child`](CancelToken::child)). Clones
+/// share state.
 ///
 /// Polling ([`is_cancelled`](CancelToken::is_cancelled)) costs one
-/// atomic load plus, when a deadline is set, one monotonic clock read —
-/// cheap enough for per-sweep / per-node loops.
+/// atomic load plus, when a deadline is set, one monotonic clock read,
+/// per token up the parent chain — cheap enough for per-sweep /
+/// per-node loops.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     inner: Arc<Inner>,
@@ -47,34 +54,46 @@ impl CancelToken {
 
     /// A token that fires once `deadline` has elapsed from now.
     pub fn with_deadline(deadline: Duration) -> Self {
+        let deadline = Some(Instant::now() + deadline);
+        CancelToken { inner: Arc::new(Inner { deadline, ..Inner::default() }) }
+    }
+
+    /// A token cancelled whenever `self` is, and also by its own
+    /// `deadline` (from now) when one is given. Cancelling the child,
+    /// or its deadline passing, never cancels `self`.
+    pub fn child(&self, deadline: Option<Duration>) -> Self {
         CancelToken {
             inner: Arc::new(Inner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(Instant::now() + deadline),
+                deadline: deadline.map(|d| Instant::now() + d),
+                parent: Some(self.clone()),
+                ..Inner::default()
             }),
         }
     }
 
-    /// Cancel explicitly. Every clone observes the cancellation.
+    /// Cancel explicitly. Every clone and every child observes the
+    /// cancellation.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Has the token been cancelled (explicitly, or by its deadline)?
+    /// Has the token been cancelled (explicitly, by its deadline, or
+    /// through its parent)?
     pub fn is_cancelled(&self) -> bool {
-        if self.inner.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        match self.inner.deadline {
-            Some(d) => Instant::now() >= d,
-            None => false,
-        }
+        self.inner.cancelled.load(Ordering::Relaxed)
+            || self.inner.deadline.is_some_and(|d| Instant::now() >= d)
+            || self.inner.parent.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Wall-clock time left before the deadline. `None` when no
-    /// deadline is set; `Some(ZERO)` once it has passed.
+    /// Wall-clock time left before the earliest deadline on this token
+    /// or its parents. `None` when no deadline is set; `Some(ZERO)` once
+    /// it has passed.
     pub fn remaining(&self) -> Option<Duration> {
-        self.inner.deadline.map(|d| d.saturating_duration_since(Instant::now()))
+        let own = self.inner.deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        match (own, self.inner.parent.as_ref().and_then(CancelToken::remaining)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Sleep for `duration`, waking early if cancelled. Sleeps in short
@@ -97,61 +116,9 @@ impl CancelToken {
     }
 }
 
-/// A sink for mid-solve checkpoints, living next to [`CancelToken`] for
-/// the same reason: every substrate hot loop (annealer reads, QAOA
-/// optimizer iterations, branch-and-bound incumbents, Grover guesses)
-/// can persist progress without depending on the execution layer.
-///
-/// `save` is infallible by design: a durable store that dies mid-run
-/// signals the failure out-of-band (typically by cancelling the run's
-/// [`CancelToken`]), so solver loops stay free of persistence error
-/// plumbing. `load` hands back the most recent payload saved under a
-/// tag, letting a resumed solver skip completed work.
-pub trait Checkpointer: Send + Sync {
-    /// Persist `payload` under `tag`, replacing any previous checkpoint
-    /// with the same tag. Must not panic and must not block the hot
-    /// loop for longer than a write + fsync.
-    fn save(&self, tag: &str, payload: &[u8]);
-
-    /// The most recent payload saved under `tag` in a *previous* run,
-    /// if this run is a resume. Consumed semantics are up to the
-    /// implementation; solvers call this once at startup.
-    fn load(&self, tag: &str) -> Option<Vec<u8>>;
-
-    /// Desired work units (reads, iterations, nodes — the solver's own
-    /// metric) between checkpoints. `0` disables checkpointing, which
-    /// is what [`NoopCheckpointer`] reports.
-    fn interval(&self) -> u64 {
-        0
-    }
-}
-
-/// The default checkpointer: saves nothing, loads nothing, interval 0.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopCheckpointer;
-
-impl Checkpointer for NoopCheckpointer {
-    fn save(&self, _tag: &str, _payload: &[u8]) {}
-
-    fn load(&self, _tag: &str) -> Option<Vec<u8>> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_checkpointer_is_inert() {
-        let ckpt = NoopCheckpointer;
-        ckpt.save("tag", b"payload");
-        assert_eq!(ckpt.load("tag"), None);
-        assert_eq!(ckpt.interval(), 0);
-        // And it is object-safe: solvers hold it as a trait object.
-        let dyn_ckpt: &dyn Checkpointer = &ckpt;
-        assert!(dyn_ckpt.load("tag").is_none());
-    }
 
     #[test]
     fn never_is_never_cancelled() {
@@ -176,6 +143,48 @@ mod tests {
         let far = CancelToken::with_deadline(Duration::from_secs(3600));
         assert!(!far.is_cancelled());
         assert!(far.remaining().unwrap() > Duration::from_secs(3500));
+    }
+
+    #[test]
+    fn child_inherits_its_parents_cancellation() {
+        let root = CancelToken::never();
+        let child = root.child(None);
+        let grandchild = child.child(Some(Duration::from_secs(3600)));
+        assert!(!grandchild.is_cancelled());
+        assert_eq!(child.remaining(), None);
+        root.cancel();
+        assert!(child.is_cancelled());
+        assert!(grandchild.is_cancelled(), "cancellation reaches every descendant");
+        assert!(!grandchild.sleep(Duration::from_secs(10)));
+    }
+
+    #[test]
+    fn child_cancellation_never_reaches_its_parent() {
+        let root = CancelToken::never();
+        let expired = root.child(Some(Duration::ZERO));
+        assert!(expired.is_cancelled());
+        assert!(!root.is_cancelled(), "a child's deadline must not cancel the parent");
+        let sibling = root.child(None);
+        sibling.cancel();
+        assert!(sibling.is_cancelled());
+        assert!(!root.is_cancelled(), "an explicit child cancel must not cancel the parent");
+        assert!(!root.child(None).is_cancelled(), "nor a fresh sibling");
+    }
+
+    #[test]
+    fn child_remaining_is_the_earliest_deadline() {
+        let root = CancelToken::with_deadline(Duration::from_secs(60));
+        let tighter = root.child(Some(Duration::from_secs(5)));
+        assert!(tighter.remaining().unwrap() <= Duration::from_secs(5));
+        let looser = root.child(Some(Duration::from_secs(3600)));
+        let left = looser.remaining().unwrap();
+        assert!(left <= Duration::from_secs(60) && left > Duration::from_secs(50));
+        let unbounded = root.child(None);
+        assert!(unbounded.remaining().unwrap() > Duration::from_secs(50));
+        // A parent whose deadline passed cancels a child with none.
+        let expired = CancelToken::with_deadline(Duration::ZERO);
+        assert!(expired.child(None).is_cancelled());
+        assert_eq!(expired.child(Some(Duration::from_secs(9))).remaining(), Some(Duration::ZERO));
     }
 
     #[test]

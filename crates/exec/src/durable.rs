@@ -37,9 +37,9 @@
 //! dropped, and its solve starts over), never panics, and checks every
 //! length prefix against the bytes left before reading on.
 
-use crate::journal::{JournalEvent, JournalKind, RunJournal};
+use crate::journal::{Checkpointer, JournalEvent, JournalKind, RunJournal};
 use nck_anneal::AnnealSample;
-use nck_cancel::{CancelToken, Checkpointer};
+use nck_cancel::CancelToken;
 use nck_circuit::NmState;
 use nck_classical::Incumbent;
 use nck_store::{Recovered, RunStore, StoreError};

@@ -11,7 +11,7 @@
 use crate::durable::{decode, encode, Wire};
 use crate::error::ExecError;
 use crate::stage::StageTimings;
-use nck_cancel::{CancelToken, Checkpointer, NoopCheckpointer};
+use nck_cancel::CancelToken;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -169,6 +169,47 @@ impl RunJournal {
     }
 }
 
+/// A sink for mid-solve checkpoints: the supervisor's durable store
+/// for a `--run-dir` run, [`NoopCheckpointer`] otherwise. Backends
+/// reach it through their [`RunCtx`], which encodes and decodes the
+/// typed solver state; the substrate solvers only see closures.
+///
+/// `save` is infallible by design: a durable store that dies mid-run
+/// signals the failure out-of-band (by cancelling the run's
+/// [`CancelToken`]), so solver loops stay free of persistence error
+/// plumbing. `load` hands back the most recent payload saved under a
+/// tag, letting a resumed solver skip completed work.
+pub trait Checkpointer: Send + Sync {
+    /// Persist `payload` under `tag`, replacing any previous checkpoint
+    /// with the same tag. Must not panic and must not block the hot
+    /// loop for longer than a write + fsync.
+    fn save(&self, tag: &str, payload: &[u8]);
+
+    /// The most recent payload saved under `tag` in a *previous* run,
+    /// if this run is a resume. Consumed semantics are up to the
+    /// implementation; solvers call this once at startup.
+    fn load(&self, tag: &str) -> Option<Vec<u8>>;
+
+    /// Desired work units (reads, iterations, nodes — the solver's own
+    /// metric) between checkpoints. `0` disables checkpointing, which
+    /// is what [`NoopCheckpointer`] reports.
+    fn interval(&self) -> u64 {
+        0
+    }
+}
+
+/// The default checkpointer: saves nothing, loads nothing, interval 0.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoopCheckpointer;
+
+impl Checkpointer for NoopCheckpointer {
+    fn save(&self, _tag: &str, _payload: &[u8]) {}
+
+    fn load(&self, _tag: &str) -> Option<Vec<u8>> {
+        None
+    }
+}
+
 /// Per-attempt execution context handed to every [`Backend::run`]:
 /// stage timings, the journal, the cooperative cancellation token, and
 /// the attempt index (so fault scripts and backoff schedules can be
@@ -277,6 +318,18 @@ impl RunCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn noop_checkpointer_is_inert() {
+        let ckpt = NoopCheckpointer;
+        ckpt.save("tag", b"payload");
+        assert_eq!(ckpt.load("tag"), None);
+        assert_eq!(ckpt.interval(), 0);
+        // And it is object-safe: a run context holds it as a trait
+        // object.
+        let dyn_ckpt: &dyn Checkpointer = &ckpt;
+        assert!(dyn_ckpt.load("tag").is_none());
+    }
 
     #[test]
     fn journal_completeness() {

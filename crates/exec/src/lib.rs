@@ -69,8 +69,8 @@ pub use budget::{RetryPolicy, RunBudget};
 pub use durable::{Record, RecoveredRun, DEFAULT_CHECKPOINT_INTERVAL};
 pub use error::{ExecError, FailedAttempt, FaultKind};
 pub use fault::FaultInjection;
-pub use journal::{JournalEvent, JournalKind, RunCtx, RunJournal};
-pub use nck_cancel::{CancelToken, Checkpointer, NoopCheckpointer};
+pub use journal::{Checkpointer, JournalEvent, JournalKind, NoopCheckpointer, RunCtx, RunJournal};
+pub use nck_cancel::CancelToken;
 pub use nck_store::{KillPoint, KillSpec, Recovered, RunStore, StoreError};
 pub use plan::{ExecReport, ExecutionPlan, PlanStats, Tally};
 pub use stage::{StageOutcome, StageTimings};

@@ -54,10 +54,10 @@ use crate::breaker::Admission;
 use crate::budget::{attempt_seed, RetryPolicy, RunBudget};
 use crate::durable::{DurableRun, Record, RecoveredRun, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::error::{ExecError, FailedAttempt};
-use crate::journal::{JournalEvent, JournalKind, RunCtx, RunJournal};
+use crate::journal::{Checkpointer, JournalEvent, JournalKind, RunCtx, RunJournal};
 use crate::plan::{ExecReport, ExecutionPlan};
 use crate::stage::StageOutcome;
-use nck_cancel::{CancelToken, Checkpointer};
+use nck_cancel::CancelToken;
 use nck_store::{Recovered, RunStore};
 use std::fmt;
 use std::path::Path;
@@ -349,25 +349,20 @@ impl Supervisor {
         'rungs: for (ri, backend) in ladder.iter().enumerate().skip(start_rung) {
             let name = backend.name();
             // Slice the remaining global deadline across the remaining
-            // rungs; the last rung inherits everything left.
-            // With no deadline the rung shares the global token (an
-            // Arc bump, and explicit cancellation still propagates);
-            // with one, the rung gets its own sliced deadline.
-            let rung_token = match global.remaining() {
-                None => global.clone(),
-                Some(rem) => {
-                    if global.is_cancelled() {
-                        last_error = FailedAttempt {
-                            backend: name,
-                            stage: "budget",
-                            attempt: global_attempt,
-                            error: ExecError::BudgetExhausted { what: "deadline" },
-                        };
-                        break 'rungs;
-                    }
-                    CancelToken::with_deadline(rem / (ladder.len() - ri) as u32)
-                }
-            };
+            // rungs; the last rung inherits everything left. The rung
+            // token is a child of the run's, so a store death or an
+            // explicit cancel of the run stops the rung too.
+            let share = global.remaining().map(|rem| rem / (ladder.len() - ri) as u32);
+            if share.is_some() && global.is_cancelled() {
+                last_error = FailedAttempt {
+                    backend: name,
+                    stage: "budget",
+                    attempt: global_attempt,
+                    error: ExecError::BudgetExhausted { what: "deadline" },
+                };
+                break 'rungs;
+            }
+            let rung_token = global.child(share);
             let mut rung_attempt: u32 = if ri == start_rung { from.rung_attempt } else { 0 };
             loop {
                 let spent = if global_attempt >= self.budget.max_attempts {
@@ -917,6 +912,37 @@ mod tests {
             "{}",
             failure.error
         );
+    }
+
+    /// Under a deadline budget each rung runs on its own slice of the
+    /// deadline; a store death must still stop the rung's attempt at
+    /// once instead of annealing reads that can no longer be persisted.
+    #[test]
+    fn store_death_under_a_deadline_stops_the_running_rung() {
+        let p = vertex_cover();
+        let plan = ExecutionPlan::new(&p);
+        let backend = AnnealerBackend::new(AnnealerDevice::ideal(8), 200_000);
+        let sup = Supervisor {
+            budget: RunBudget::with_deadline(Duration::from_secs(60)),
+            checkpoint_interval: 0,
+            ..Supervisor::default()
+        };
+
+        let tmp = TempDir::new("deadlinekill");
+        let mut store = RunStore::open_fresh(&tmp.0).unwrap();
+        store.arm_kill(KillSpec { point: KillPoint::CrashBeforeFsync, at_op: 2 });
+        let t = Instant::now();
+        let failure = sup.run_with_store(&plan, &[&backend], 7, store).unwrap_err();
+        let took = t.elapsed();
+        assert!(
+            matches!(
+                failure.error.error,
+                ExecError::Store(StoreError::Killed { point: "crash-before-fsync" })
+            ),
+            "{}",
+            failure.error
+        );
+        assert!(took < Duration::from_secs(1), "store failure surfaced after {took:?}");
     }
 
     #[test]
