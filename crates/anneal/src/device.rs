@@ -8,7 +8,8 @@
 use crate::chain::{embed_ising, suggested_chain_strength, EmbeddedIsing};
 use crate::embed::{find_embedding, Embedding};
 use crate::gauge::Gauge;
-use crate::sampler::{splitmix64, NoiseModel, PreparedIsing, SaParams};
+use crate::sampler::{NoiseModel, PreparedIsing, SaParams};
+use crate::seed::derive_seed;
 use crate::timing::TimingModel;
 use crate::topology::Topology;
 use nck_cancel::CancelToken;
@@ -318,10 +319,7 @@ fn job_gauge(seed: u64, gi: usize, num_spins: usize) -> Gauge {
     if gi == 0 {
         Gauge::identity(num_spins)
     } else {
-        Gauge::random(
-            num_spins,
-            splitmix64(splitmix64(seed) ^ (gi as u64).wrapping_mul(0xd1b54a32d192ed03)),
-        )
+        Gauge::random(num_spins, derive_seed(seed, gi as u64, 0xd1b54a32d192ed03))
     }
 }
 

@@ -28,7 +28,7 @@
 //! it settled qubits. Qubit costs and search buffers are kept across the
 //! routes of one try.
 
-use crate::sampler::splitmix64;
+use crate::seed::derive_seed;
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -153,7 +153,7 @@ fn try_seed(seed: u64, t: usize) -> u64 {
     if t == 0 {
         return seed;
     }
-    splitmix64(splitmix64(seed) ^ (t as u64).wrapping_mul(0xa076_1d64_78bd_642f))
+    derive_seed(seed, t as u64, 0xa076_1d64_78bd_642f)
 }
 
 /// The smallest per-route jitter factor, so the smallest cost of any
@@ -1063,7 +1063,7 @@ mod tests {
     fn tries_never_alias_try_zero_of_a_related_seed() {
         const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
         // The annealer backend's rip-up attempt `k` (its try 0).
-        let attempt = |s: u64, k: u64| splitmix64(splitmix64(s) ^ k.wrapping_mul(PHI));
+        let attempt = |s: u64, k: u64| derive_seed(s, k, PHI);
         for s in (0..64u64).chain([u64::MAX, PHI, 1 << 63]) {
             assert_eq!(try_seed(s, 0), s, "try 0 must keep the caller's seed");
             for t in 1..16usize {

@@ -17,6 +17,8 @@
 //!   20 µs anneals, ≈30 ms per 100-sample job).
 //! * [`device`] — the assembled [`AnnealerDevice`] with the
 //!   `advantage_4_1()` preset.
+//! * [`seed`] — the one seed-derivation function every stream above
+//!   (and the execution layer's attempt seeds) is drawn from.
 //!
 //! ```
 //! use nck_anneal::AnnealerDevice;
@@ -41,6 +43,7 @@ pub mod embed;
 pub mod gauge;
 pub mod postprocess;
 pub mod sampler;
+pub mod seed;
 pub mod timing;
 pub mod topology;
 
@@ -50,5 +53,6 @@ pub use embed::{find_embedding, Embedding};
 pub use gauge::Gauge;
 pub use postprocess::steepest_descent;
 pub use sampler::{sample_ising, NoiseModel, SaParams};
+pub use seed::{derive_seed, splitmix64};
 pub use timing::TimingModel;
 pub use topology::Topology;

@@ -12,6 +12,7 @@
 //! annealed alone would do, so the samples are the same whichever
 //! worker or lane drew them.
 
+use crate::seed::derive_seed;
 use nck_cancel::CancelToken;
 use nck_qubo::Ising;
 use rand::rngs::StdRng;
@@ -135,19 +136,6 @@ impl<const L: usize> Lanes<L> {
             out: vec![false; n],
         }
     }
-}
-
-/// SplitMix64 finalizer: the statistically-mixed output function of
-/// the SplitMix64 generator (Steele, Lea & Flood). Used to derive
-/// per-read RNG seeds: read `r` of job seed `s` takes the `r`-th
-/// element of the SplitMix64 stream seeded at `s`. The previous
-/// `seed ^ read·φ` scheme left read 0 equal to the raw job seed and
-/// made `(seed, read)` pairs collide trivially across seed sweeps
-/// (e.g. `(s ^ φ, 0)` and `(s, 1)` produced identical reads).
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Box–Muller standard normal.
@@ -322,18 +310,14 @@ impl PreparedIsing {
                 }
             })
             .collect();
-        // Finalize the job seed before mixing in the read index:
-        // combining the raw inputs linearly (the old `seed ^ read·φ`)
-        // makes stream (seed, read) collide with (seed ^ k·φ, read ± k)
-        // for every k.
-        let mixed = splitmix64(seed);
         let blocks = reads.len().div_ceil(BLOCK);
         // Hands out each block index once. The counter publishes no
         // other data (results come back through `join`), so `Relaxed`
         // suffices.
         let next = AtomicUsize::new(0);
-        let stream =
-            |read: usize| splitmix64(mixed ^ (read as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
+        // Read `r` draws stream `r + 1` of the job seed (φ stride), so
+        // no read's RNG is seeded with the raw job seed.
+        let stream = |read: usize| derive_seed(seed, read as u64 + 1, 0x9e3779b97f4a7c15);
         let work = || {
             // Allocated on first use: a job of fewer than `LANES` reads
             // never builds the wide buffers.
@@ -509,6 +493,7 @@ impl PreparedIsing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seed::splitmix64;
 
     /// Frustrated-free ferromagnetic chain: ground states all-up /
     /// all-down.

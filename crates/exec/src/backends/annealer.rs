@@ -14,12 +14,15 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
+/// Extra embedding attempts, each with a fresh rip-up seed, after the
+/// device's own per-seed tries are exhausted.
+pub const EMBED_RESEED_TRIES: u32 = 3;
+
 /// One job of `num_reads` samples on a simulated annealer, best sample
 /// reported (the paper's §VII protocol).
 ///
 /// Embedding policy: the heuristic embedder is retried with a fresh
-/// rip-up seed up to [`embed_reseed_tries`](Self::embed_reseed_tries)
-/// times, then the device's precomputed clique embedding is tried, and
+/// rip-up seed up to [`EMBED_RESEED_TRIES`] times, then the device's precomputed clique embedding is tried, and
 /// only then does the run fail with
 /// [`AnnealError::EmbeddingFailed`]. Found embeddings are cached per
 /// QUBO structure, so multi-seed sweeps embed once (the
@@ -30,9 +33,6 @@ pub struct AnnealerBackend {
     pub device: AnnealerDevice,
     /// Samples per job.
     pub num_reads: usize,
-    /// Extra embedding attempts with fresh rip-up seeds after the
-    /// device's own per-seed tries are exhausted.
-    pub embed_reseed_tries: u32,
     /// Deterministic fault injection for exercising the retry and
     /// fallback policies in tests.
     pub faults: FaultInjection,
@@ -46,7 +46,6 @@ impl AnnealerBackend {
         AnnealerBackend {
             device,
             num_reads,
-            embed_reseed_tries: 3,
             faults: FaultInjection::default(),
             embedding_cache: Mutex::new(None),
         }
@@ -87,7 +86,7 @@ impl AnnealerBackend {
         }
         let adj = qubo.adjacency();
         let mut found = None;
-        for attempt in 0..=self.embed_reseed_tries {
+        for attempt in 0..=EMBED_RESEED_TRIES {
             // Injected failure: discard this attempt as if the
             // heuristic embedder had failed, driving the rip-up retry
             // (and eventually the clique fallback) deterministically.

@@ -21,24 +21,20 @@ use std::time::Instant;
 /// expected total oracle cost at O(√(N/M)).
 pub const BBHT_GROWTH: f64 = 1.3;
 
+/// Largest program (in variables) the state-vector oracle accepts.
+pub const GROVER_MAX_VARS: usize = 20;
+
+/// BBHT iteration guesses before the search reports unsatisfiable.
+pub const GROVER_MAX_GUESSES: u64 = 64;
+
 /// Grover search over the program's hard constraints, using the BBHT
 /// schedule for an unknown solution count: exponentially growing
 /// iteration guesses, each measured once and checked classically.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct GroverBackend {
-    /// Largest program (in variables) the state-vector oracle accepts.
-    pub max_vars: usize,
-    /// Maximum BBHT iteration guesses before reporting unsatisfiable.
-    pub max_guesses: u64,
     /// Deterministic fault injection for exercising the supervisor's
     /// retry policy in tests.
     pub faults: FaultInjection,
-}
-
-impl Default for GroverBackend {
-    fn default() -> Self {
-        GroverBackend { max_vars: 20, max_guesses: 64, faults: FaultInjection::default() }
-    }
 }
 
 impl GroverBackend {
@@ -66,8 +62,8 @@ impl Backend for GroverBackend {
             return Err(ExecError::SoftUnsupported { num_soft: program.num_soft() });
         }
         let n = program.num_vars();
-        if n > self.max_vars {
-            return Err(ExecError::TooLarge { vars: n, limit: self.max_vars });
+        if n > GROVER_MAX_VARS {
+            return Err(ExecError::TooLarge { vars: n, limit: GROVER_MAX_VARS });
         }
         self.faults.apply_sample_faults(ctx)?;
         let predicate = |bits: u64| {
@@ -83,7 +79,7 @@ impl Backend for GroverBackend {
         // continuation is the same search the crashed run was in the
         // middle of).
         let restored =
-            ctx.restore::<GroverProgress>("grover").filter(|p| p.next_guess <= self.max_guesses);
+            ctx.restore::<GroverProgress>("grover").filter(|p| p.next_guess <= GROVER_MAX_GUESSES);
         let start_guess = restored.as_ref().map_or(0, |p| p.next_guess);
         let mut m = restored.as_ref().map_or(1.0f64, |p| p.m);
         let mut found: Option<Vec<bool>> = None;
@@ -91,7 +87,7 @@ impl Backend for GroverBackend {
         let mut total_iterations =
             restored.as_ref().map_or(0usize, |p| p.total_iterations as usize);
         let mut success_probability = restored.as_ref().map_or(0.0, |p| p.success_probability);
-        for j in start_guess..self.max_guesses {
+        for j in start_guess..GROVER_MAX_GUESSES {
             // A measured-but-unsatisfying guess carries no partial
             // information worth salvaging, so cancellation simply stops
             // the schedule.

@@ -9,29 +9,22 @@
 //! with the same seed must schedule the same backoffs, so chaos-suite
 //! failures replay exactly.
 
+use nck_anneal::{derive_seed, splitmix64};
 use nck_cancel::CancelToken;
 use std::time::Duration;
 
-/// SplitMix64 finalizer (same mixing as the annealer's per-read seed
-/// derivation).
-fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// The seed for attempt `k` derived from `seed`: attempt 0 is the
 /// caller's seed unchanged (a fault-free supervised run reproduces the
-/// plain run bit-for-bit); every later attempt is finalized through
-/// SplitMix64, so attempt `k` of seed `s` never aliases attempt 0 of a
-/// related seed such as `s ^ k·φ` (the old linear mix did exactly
-/// that). The supervisor's attempt seeds, the backoff jitter and the
+/// plain run bit-for-bit); every later attempt is stream `k` of
+/// [`derive_seed`] with the φ stride, so attempt `k` of seed `s` never
+/// aliases attempt 0 of a related seed such as `s ^ k·φ` (the old
+/// linear mix did exactly that). The supervisor's attempt seeds, the backoff jitter and the
 /// annealer backend's rip-up attempts all derive through here.
 pub(crate) fn attempt_seed(seed: u64, k: u32) -> u64 {
     if k == 0 {
         return seed;
     }
-    splitmix64(splitmix64(seed) ^ u64::from(k).wrapping_mul(0x9e3779b97f4a7c15))
+    derive_seed(seed, u64::from(k), 0x9e3779b97f4a7c15)
 }
 
 /// The cost envelope of one supervised run.

@@ -31,7 +31,8 @@ use std::time::Duration;
 pub struct FaultInjection {
     /// Treat this many leading heuristic embedding attempts as failed,
     /// as if the rip-up embedder could not fit the problem. Values in
-    /// `1..=embed_reseed_tries` exercise the reseed retry; larger
+    /// `1..=`[`EMBED_RESEED_TRIES`](crate::backends::annealer::EMBED_RESEED_TRIES)
+    /// exercise the reseed retry; larger
     /// values exhaust every heuristic attempt and force the
     /// clique-embedding fallback (or a typed
     /// [`EmbeddingFailed`](nck_anneal::AnnealError::EmbeddingFailed)
