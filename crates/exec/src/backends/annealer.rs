@@ -22,10 +22,10 @@ pub const EMBED_RESEED_TRIES: u32 = 3;
 /// reported (the paper's §VII protocol).
 ///
 /// Embedding policy: the heuristic embedder is retried with a fresh
-/// rip-up seed up to [`EMBED_RESEED_TRIES`] times, then the device's precomputed clique embedding is tried, and
-/// only then does the run fail with
-/// [`AnnealError::EmbeddingFailed`]. Found embeddings are cached per
-/// QUBO structure, so multi-seed sweeps embed once (the
+/// rip-up seed up to [`EMBED_RESEED_TRIES`] times, then the device's
+/// precomputed clique embedding is tried, and only then does the run
+/// fail with [`AnnealError::EmbeddingFailed`]. Found embeddings are
+/// cached per QUBO structure, so multi-seed sweeps embed once (the
 /// `FixedEmbeddingComposite` pattern).
 #[derive(Debug)]
 pub struct AnnealerBackend {

@@ -18,8 +18,9 @@ use std::time::Duration;
 /// plain run bit-for-bit); every later attempt is stream `k` of
 /// [`derive_seed`] with the φ stride, so attempt `k` of seed `s` never
 /// aliases attempt 0 of a related seed such as `s ^ k·φ` (the old
-/// linear mix did exactly that). The supervisor's attempt seeds, the backoff jitter and the
-/// annealer backend's rip-up attempts all derive through here.
+/// linear mix did exactly that). The supervisor's attempt seeds, the
+/// backoff jitter and the annealer backend's rip-up attempts all derive
+/// through here.
 pub(crate) fn attempt_seed(seed: u64, k: u32) -> u64 {
     if k == 0 {
         return seed;

@@ -13,7 +13,9 @@
 //!   reads, Nelder–Mead simplex, branch-and-bound incumbent, Grover
 //!   schedule position), carried inside a checkpoint record. Backends
 //!   save and restore them as typed values through their
-//!   [`RunCtx`](crate::RunCtx), never as bytes.
+//!   [`RunCtx`](crate::RunCtx), never as bytes; the context hands the
+//!   bytes to the run's [`Checkpointer`], which for a durable run is
+//!   the sink below.
 //!
 //! All three are written by one crate-private codec trait, `Wire`,
 //! implemented once per type, so this module alone decides the store's
@@ -657,13 +659,14 @@ wire_fields!(GroverProgress { next_guess, measurements, total_iterations, m, suc
 
 /// The live persistence sink for one supervised run: owns the
 /// [`RunStore`], serializes [`Record`]s into it, and doubles as the
-/// [`Checkpointer`] every backend hot loop sees. The supervisor builds
-/// one per durable run and is its only user.
+/// [`Checkpointer`] every backend's run context holds. The supervisor
+/// builds one per durable run and is its only user.
 ///
 /// Persistence failures are deliberately *soft* from the solver's
 /// perspective ([`Checkpointer::save`] is infallible): the first store
-/// failure is latched, the run's [`CancelToken`] is cancelled so the
-/// run winds down cooperatively, and [`death`](DurableRun::death)
+/// failure is latched, the run's [`CancelToken`] is cancelled — and
+/// with it the running rung's token, which is its child — so the run
+/// winds down cooperatively, and [`death`](DurableRun::death)
 /// hands the typed error to the supervisor, which reports it as the
 /// run's outcome.
 pub(crate) struct DurableRun {

@@ -22,7 +22,9 @@
 //! `i` of `k` remaining receives `remaining / (k − i)` as its
 //! cancellation deadline, so a wedged rung (an injected sampler stall,
 //! a runaway optimizer) cannot starve the rungs below it, and time a
-//! rung does not use rolls over to the next. Every attempt, fault,
+//! rung does not use rolls over to the next. The rung's token is a
+//! child of the run's, so a store death or an explicit cancel of the
+//! run still stops the rung at once. Every attempt, fault,
 //! fallback, breaker transition, and ladder step is recorded in a
 //! [`RunJournal`] with one shared timebase; the journal rides on the
 //! [`ExecReport`] on success and on the [`SupervisedFailure`]
