@@ -116,7 +116,7 @@ impl Embedding {
                 }
                 let covered = self.chains[u]
                     .iter()
-                    .any(|&a| topo.neighbors(a).iter().any(|&b| owner[b] == v));
+                    .any(|&a| topo.neighbors(a).iter().any(|&b| owner[b as usize] == v));
                 if !covered {
                     return false;
                 }
@@ -324,9 +324,9 @@ fn trim_chains(logical_adj: &[Vec<usize>], topo: &Topology, chains: &mut [Vec<us
                 if chains[v].len() > 1 && connected_without(&chains[v], q) {
                     // Check edge coverage without q.
                     let covered = logical_adj[v].iter().all(|&u| {
-                        chains[v]
-                            .iter()
-                            .any(|&a| a != q && topo.neighbors(a).iter().any(|&b| owner[b] == u))
+                        chains[v].iter().any(|&a| {
+                            a != q && topo.neighbors(a).iter().any(|&b| owner[b as usize] == u)
+                        })
                     });
                     if covered {
                         owner[q] = usize::MAX;
@@ -544,6 +544,7 @@ impl Search {
         field.settle(q);
         let d = field.dist[q];
         for &x in topo.neighbors(q) {
+            let x = x as usize;
             let nd = d.saturating_add(cost[x]);
             if nd < field.dist[x] {
                 field.dist[x] = nd;
@@ -635,7 +636,7 @@ impl<'a> Router<'a> {
             let q = (0..nq).map(|i| (start + i) % nq).min_by_key(|&q| {
                 (
                     qubit_weight(usage[q], base),
-                    Reverse(topo.neighbors(q).iter().filter(|&&x| usage[x] == 0).count()),
+                    Reverse(topo.neighbors(q).iter().filter(|&&x| usage[x as usize] == 0).count()),
                 )
             })?;
             usage[q] += 1;
@@ -671,7 +672,7 @@ impl<'a> Router<'a> {
             // Already adjacent?
             let adjacent = chains[v]
                 .iter()
-                .any(|&a| topo.neighbors(a).iter().any(|&b| chains[u].contains(&b)));
+                .any(|&a| topo.neighbors(a).iter().any(|&b| chains[u].contains(&(b as usize))));
             // If the chains currently overlap (possible mid-optimization,
             // before the penalty sweeps separate them), skip routing this
             // edge — a later sweep re-routes both chains.
@@ -808,6 +809,7 @@ impl<'a> Router<'a> {
         let topo = self.topo;
         for &cu in neighbor {
             for &q in topo.neighbors(cu) {
+                let q = q as usize;
                 self.near[q] = !self.in_chain[q];
             }
         }
@@ -821,6 +823,7 @@ impl<'a> Router<'a> {
         let mut best: Option<(u64, usize)> = None;
         for &cu in neighbor {
             for &q in topo.neighbors(cu) {
+                let q = q as usize;
                 if self.near[q] && dist[q] != u64::MAX && best.is_none_or(|(bd, _)| dist[q] < bd) {
                     best = Some((dist[q], q));
                 }
@@ -828,7 +831,7 @@ impl<'a> Router<'a> {
         }
         for &cu in neighbor {
             for &q in topo.neighbors(cu) {
-                self.near[q] = false;
+                self.near[q as usize] = false;
             }
         }
         best.map(|(_, q)| q)
@@ -924,6 +927,7 @@ mod tests {
                 continue;
             }
             for &x in topo.neighbors(q) {
+                let x = x as usize;
                 let nd = d.saturating_add(cost[x]);
                 if nd < dist[x] {
                     dist[x] = nd;
@@ -941,7 +945,7 @@ mod tests {
         for _ in 1..len {
             let at = chain[rng.random_range(0..chain.len())];
             let nbrs = topo.neighbors(at);
-            let q = nbrs[rng.random_range(0..nbrs.len())];
+            let q = nbrs[rng.random_range(0..nbrs.len())] as usize;
             if !chain.contains(&q) {
                 chain.push(q);
             }
@@ -953,7 +957,13 @@ mod tests {
     fn with_island(topo: &Topology) -> Topology {
         let nq = topo.num_qubits();
         let mut couplers: Vec<(usize, usize)> = (0..nq)
-            .flat_map(|a| topo.neighbors(a).iter().filter(move |&&b| a < b).map(move |&b| (a, b)))
+            .flat_map(|a| {
+                topo.neighbors(a)
+                    .iter()
+                    .map(|&b| b as usize)
+                    .filter(move |&b| a < b)
+                    .map(move |b| (a, b))
+            })
             .collect();
         for a in nq..nq + 4 {
             couplers.extend((a + 1..nq + 4).map(|b| (a, b)));
@@ -1020,7 +1030,7 @@ mod tests {
                 let expected = neighbor
                     .iter()
                     .flat_map(|&cu| topo.neighbors(cu))
-                    .copied()
+                    .map(|&q| q as usize)
                     .filter(|&q| !chain.contains(&q) && dist[q] != u64::MAX)
                     .fold(None, |best: Option<usize>, q| match best {
                         Some(b) if dist[b] <= dist[q] => Some(b),

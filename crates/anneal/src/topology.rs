@@ -12,62 +12,98 @@
 //! DESIGN.md's substitution table and EXPERIMENTS.md's known
 //! deviations).
 
+use std::sync::Arc;
+
 /// An undirected hardware graph of qubits and couplers.
+///
+/// The adjacency is one flat, sorted neighbour array indexed by per-qubit
+/// row offsets, shared through an [`Arc`], so cloning a topology (and the
+/// device that holds it) copies nothing.
 #[derive(Clone, Debug)]
 pub struct Topology {
+    graph: Arc<Graph>,
+}
+
+#[derive(Debug)]
+struct Graph {
     name: String,
-    num_qubits: usize,
-    adj: Vec<Vec<usize>>,
-    num_couplers: usize,
+    /// Qubit `q`'s neighbours are `neighbors[offsets[q]..offsets[q + 1]]`,
+    /// ascending.
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
 }
 
 impl Topology {
-    /// Build from an explicit coupler list.
+    /// Build from an explicit coupler list; repeated and reversed
+    /// couplers count once.
     pub fn new(name: impl Into<String>, num_qubits: usize, couplers: &[(usize, usize)]) -> Self {
-        let mut adj = vec![Vec::new(); num_qubits];
-        let mut count = 0;
-        for &(a, b) in couplers {
-            assert!(a != b && a < num_qubits && b < num_qubits, "bad coupler ({a},{b})");
-            if !adj[a].contains(&b) {
-                adj[a].push(b);
-                adj[b].push(a);
-                count += 1;
-            }
+        assert!(u32::try_from(num_qubits).is_ok(), "qubits are stored as u32");
+        let mut pairs: Vec<(u32, u32)> = couplers
+            .iter()
+            .map(|&(a, b)| {
+                assert!(a != b && a < num_qubits && b < num_qubits, "bad coupler ({a},{b})");
+                (a.min(b) as u32, a.max(b) as u32)
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert!(u32::try_from(2 * pairs.len()).is_ok(), "row offsets are stored as u32");
+        let mut offsets = vec![0u32; num_qubits + 1];
+        for &(a, b) in &pairs {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-        for l in &mut adj {
-            l.sort_unstable();
+        for q in 0..num_qubits {
+            offsets[q + 1] += offsets[q];
         }
-        Topology { name: name.into(), num_qubits, adj, num_couplers: count }
+        // In ascending pair order, row `x` receives every `a < x` in
+        // order before every `b > x` in order, so each row comes out
+        // sorted.
+        let mut fill: Vec<u32> = offsets[..num_qubits].to_vec();
+        let mut neighbors = vec![0u32; 2 * pairs.len()];
+        for &(a, b) in &pairs {
+            neighbors[fill[a as usize] as usize] = b;
+            fill[a as usize] += 1;
+            neighbors[fill[b as usize] as usize] = a;
+            fill[b as usize] += 1;
+        }
+        Topology::from_rows(name.into(), offsets, neighbors)
+    }
+
+    fn from_rows(name: String, offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(neighbors.len()));
+        Topology { graph: Arc::new(Graph { name, offsets, neighbors }) }
     }
 
     /// Device name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.graph.name
     }
 
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
-        self.num_qubits
+        self.graph.offsets.len() - 1
     }
 
     /// Number of couplers.
     pub fn num_couplers(&self) -> usize {
-        self.num_couplers
+        self.graph.neighbors.len() / 2
     }
 
-    /// Neighbors of qubit `q`.
-    pub fn neighbors(&self, q: usize) -> &[usize] {
-        &self.adj[q]
+    /// Neighbors of qubit `q`, ascending.
+    pub fn neighbors(&self, q: usize) -> &[u32] {
+        let o = &self.graph.offsets;
+        &self.graph.neighbors[o[q] as usize..o[q + 1] as usize]
     }
 
     /// True iff qubits `a` and `b` share a coupler.
     pub fn coupled(&self, a: usize, b: usize) -> bool {
-        self.adj[a].binary_search(&b).is_ok()
+        u32::try_from(b).is_ok_and(|b| self.neighbors(a).binary_search(&b).is_ok())
     }
 
     /// Degree of qubit `q`.
     pub fn degree(&self, q: usize) -> usize {
-        self.adj[q].len()
+        self.neighbors(q).len()
     }
 
     /// The Chimera lattice `C_{m,n,t}`: an `m × n` grid of `K_{t,t}`
@@ -154,9 +190,9 @@ impl Topology {
     /// The Advantage 4.1 preset used throughout the evaluation: a
     /// Pegasus-like lattice with the paper's quoted 5,640 qubits.
     pub fn advantage_4_1() -> Self {
-        let mut t = Self::pegasus_like(16);
-        t.name = "Advantage_4.1(sim)".into();
-        t
+        let t = Self::pegasus_like(16);
+        let g = Arc::try_unwrap(t.graph).expect("a fresh topology is not shared");
+        Topology::from_rows("Advantage_4.1(sim)".into(), g.offsets, g.neighbors)
     }
 
     /// Precomputed complete-graph embedding for [`Topology::pegasus_like`]`(m)`
@@ -295,6 +331,7 @@ mod tests {
         let t = Topology::pegasus_like(3);
         for q in 0..t.num_qubits() {
             for &n in t.neighbors(q) {
+                let n = n as usize;
                 assert!(t.coupled(n, q));
                 assert_ne!(n, q);
             }

@@ -216,6 +216,7 @@ fn two_islands() -> Topology {
     for island in 0..2 {
         for a in 0..n {
             for &b in half.neighbors(a) {
+                let b = b as usize;
                 if a < b {
                     couplers.push((island * n + a, island * n + b));
                 }
