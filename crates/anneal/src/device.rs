@@ -9,7 +9,7 @@ use crate::chain::{embed_ising, suggested_chain_strength, EmbeddedIsing};
 use crate::embed::{find_embedding, Embedding};
 use crate::gauge::Gauge;
 use crate::sampler::{NoiseModel, PreparedIsing, SaParams};
-use crate::seed::derive_seed;
+use crate::seed::{derive_seed, GAUGE_STRIDE};
 use crate::timing::TimingModel;
 use crate::topology::Topology;
 use nck_cancel::CancelToken;
@@ -121,10 +121,6 @@ pub struct AnnealerDevice {
     /// QUBO (`SteepestDescentComposite`); part of the few-ms
     /// post-processing in the §VIII-C timing breakdown.
     pub postprocess: bool,
-    /// When the heuristic embedder fails and the topology is
-    /// `pegasus_like(m)`, fall back to the precomputed clique
-    /// embedding for that `m` (the `DWaveCliqueSampler` pattern).
-    pub clique_fallback: Option<usize>,
 }
 
 impl AnnealerDevice {
@@ -139,7 +135,6 @@ impl AnnealerDevice {
             embed_tries: 5,
             num_gauges: 1,
             postprocess: false,
-            clique_fallback: Some(16),
         }
     }
 
@@ -154,12 +149,12 @@ impl AnnealerDevice {
             embed_tries: 3,
             num_gauges: 1,
             postprocess: false,
-            clique_fallback: None,
         }
     }
 
     /// Run one job of `num_reads` samples on `qubo`, finding a fresh
-    /// minor embedding.
+    /// minor embedding, or taking the topology's clique embedding when
+    /// the heuristic fails.
     pub fn sample_qubo(
         &self,
         qubo: &Qubo,
@@ -171,8 +166,9 @@ impl AnnealerDevice {
             .or_else(|| {
                 // Dense problems can defeat the heuristic; the clique
                 // embedding hosts any minor of K_n directly.
-                self.clique_fallback
-                    .and_then(|m| Topology::pegasus_like_clique_embedding(m, qubo.num_vars()))
+                let e = self.topology.clique_embedding(qubo.num_vars())?;
+                debug_assert!(e.is_valid(&adj, &self.topology));
+                Some(e)
             })
             .ok_or(AnnealError::EmbeddingFailed {
                 logical_vars: qubo.num_vars(),
@@ -319,7 +315,7 @@ fn job_gauge(seed: u64, gi: usize, num_spins: usize) -> Gauge {
     if gi == 0 {
         Gauge::identity(num_spins)
     } else {
-        Gauge::random(num_spins, derive_seed(seed, gi as u64, 0xd1b54a32d192ed03))
+        Gauge::random(num_spins, derive_seed(seed, gi as u64, GAUGE_STRIDE))
     }
 }
 

@@ -25,10 +25,11 @@
 //! that its search settles. Both pick exactly what full-graph searches
 //! followed by a scan of every qubit would, so embeddings do not depend
 //! on where a search stopped, nor, for the root, on the order in which
-//! it settled qubits. Qubit costs and search buffers are kept across the
-//! routes of one try.
+//! it settled qubits. A route prices a qubit only when one of its
+//! searches reaches it, and search buffers are kept across the routes of
+//! one try.
 
-use crate::seed::derive_seed;
+use crate::seed::{derive_seed, splitmix64, TRY_STRIDE};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -148,12 +149,13 @@ pub fn find_embedding(
 /// are finalized through SplitMix64, so try `t` of seed `s` repeats
 /// neither try 0 of a related seed such as `s + t` (the old
 /// `seed.wrapping_add(t)` did exactly that) nor a rip-up attempt of the
-/// annealer backend, whose seeds derive the same way with the φ stride.
+/// annealer backend, whose seeds derive the same way with
+/// [`ATTEMPT_STRIDE`](crate::seed::ATTEMPT_STRIDE).
 fn try_seed(seed: u64, t: usize) -> u64 {
     if t == 0 {
         return seed;
     }
-    derive_seed(seed, t as u64, 0xa076_1d64_78bd_642f)
+    derive_seed(seed, t as u64, TRY_STRIDE)
 }
 
 /// The smallest per-route jitter factor, so the smallest cost of any
@@ -164,6 +166,23 @@ const MIN_JITTER: u64 = 16;
 /// overlap penalty `base` that escalates across sweeps.
 fn qubit_weight(usage: u32, base: u64) -> u64 {
     base.saturating_pow(usage.min(10))
+}
+
+/// One route's qubit costs, priced when a search reaches a qubit:
+/// `qubit_weight(usage[q], base)` times a jitter in
+/// `MIN_JITTER..MIN_JITTER + 8` hashed from the route's `key` and `q`.
+#[derive(Clone, Copy)]
+struct Prices<'u> {
+    usage: &'u [u32],
+    base: u64,
+    key: u64,
+}
+
+impl Prices<'_> {
+    fn cost(&self, q: usize) -> u64 {
+        let jitter = MIN_JITTER + (splitmix64(self.key ^ q as u64) >> 61);
+        qubit_weight(self.usage[q], self.base).saturating_mul(jitter)
+    }
 }
 
 /// Rip-up-and-reroute sweeps until overlap-free or the sweep budget
@@ -467,7 +486,7 @@ impl Field {
 }
 
 /// Dijkstra searches over qubits whose node weights are the route's
-/// cost array, one [`Field`] per source set, all on one [`RadixQueue`]
+/// [`Prices`], one [`Field`] per source set, all on one [`RadixQueue`]
 /// and with buffers reused from search to search. Entry `f << shift |
 /// q` is qubit `q` in field `f`, keyed by its `dist`. Sources sit at
 /// distance 0 and every step costs at least [`MIN_JITTER`], so a search
@@ -536,7 +555,7 @@ impl Search {
     /// Settle the nearest queued entry, relax its qubit's neighbours in
     /// its field, and return the qubit; `None` once every field is
     /// exhausted.
-    fn step(&mut self, topo: &Topology, cost: &[u64]) -> Option<usize> {
+    fn step(&mut self, topo: &Topology, prices: Prices<'_>) -> Option<usize> {
         self.min_key()?;
         let e = self.queue.pop()?;
         let (f, q) = split(e, self.shift);
@@ -545,7 +564,11 @@ impl Search {
         let d = field.dist[q];
         for &x in topo.neighbors(q) {
             let x = x as usize;
-            let nd = d.saturating_add(cost[x]);
+            // A settled qubit is at most `d` away: pricing it is wasted.
+            if field.is_done(x) {
+                continue;
+            }
+            let nd = d.saturating_add(prices.cost(x));
             if nd < field.dist[x] {
                 field.dist[x] = nd;
                 if let Some(p) = field.parent.get_mut(x) {
@@ -563,12 +586,6 @@ impl Search {
 struct Router<'a> {
     logical_adj: &'a [Vec<usize>],
     topo: &'a Topology,
-    /// Per-route random jitter on qubit costs, in
-    /// `MIN_JITTER..MIN_JITTER + 8`.
-    jitter: Vec<u64>,
-    /// `qubit_weight(usage[q], base) · jitter[q]`, kept in step with
-    /// `usage` for the duration of one route.
-    cost: Vec<u64>,
     /// [`Router::root`]'s search: one field per placed neighbour of
     /// the variable being routed.
     roots: Search,
@@ -591,8 +608,6 @@ impl<'a> Router<'a> {
         Router {
             logical_adj,
             topo,
-            jitter: vec![0; nq],
-            cost: vec![0; nq],
             roots: Search::new(nq, false),
             settled_in: vec![0; nq],
             reached: Vec::new(),
@@ -647,18 +662,18 @@ impl<'a> Router<'a> {
         // equivalent corridors — with deterministic tie-breaking, every
         // chain funnels through the same routes and dense problems
         // never untangle.
-        self.draw_costs(usage, base, rng);
+        let key: u64 = rng.random();
         // Root: qubit minimizing its own occupancy cost (otherwise a
         // fresh chain would happily sit on top of an existing one at
         // distance 0 forever) plus the path cost to every neighbour
         // chain, ties broken by position after a random start so
         // symmetric layouts do not deterministically collide.
         let start = rng.random_range(0..nq);
-        let root = self.root(&placed, chains, start)?;
+        let root = self.root(&placed, chains, start, Prices { usage, base, key })?;
         let k = placed.len();
         let mut targets: Vec<usize> = (0..k).collect();
         targets.sort_by_key(|&f| self.roots.fields[f].dist[root]);
-        self.occupy(root, usage, base);
+        usage[root] += 1;
         self.in_chain[root] = true;
         chains[v].push(root);
         // Connect the root to each neighbor chain one at a time, nearest
@@ -680,7 +695,8 @@ impl<'a> Router<'a> {
                 continue;
             }
             // Genuinely unreachable from chain(v): abandon this try.
-            let target = self.nearest_next_to(&chains[u], &chains[v])?;
+            let prices = Prices { usage, base, key };
+            let target = self.nearest_next_to(&chains[u], &chains[v], prices)?;
             // Walk back from target to chain(v), collecting the new path
             // (ordered from the chain(v) side to the target side).
             let mut path = vec![target];
@@ -694,30 +710,16 @@ impl<'a> Router<'a> {
             let split = path.len().div_ceil(2);
             for (i, &q) in path.iter().enumerate() {
                 if i < split {
-                    self.occupy(q, usage, base);
+                    usage[q] += 1;
                     self.in_chain[q] = true;
                     chains[v].push(q);
                 } else if !chains[u].contains(&q) {
-                    self.occupy(q, usage, base);
+                    usage[q] += 1;
                     chains[u].push(q);
                 }
             }
         }
         Some(())
-    }
-
-    /// Draw this route's jitter and price every qubit.
-    fn draw_costs(&mut self, usage: &[u32], base: u64, rng: &mut StdRng) {
-        for ((jitter, cost), &used) in self.jitter.iter_mut().zip(&mut self.cost).zip(usage) {
-            *jitter = MIN_JITTER + rng.random_range(0..8) as u64;
-            *cost = qubit_weight(used, base).saturating_mul(*jitter);
-        }
-    }
-
-    /// Take one more use of qubit `q`, keeping its cost in step.
-    fn occupy(&mut self, q: usize, usage: &mut [u32], base: u64) {
-        usage[q] += 1;
-        self.cost[q] = qubit_weight(usage[q], base).saturating_mul(self.jitter[q]);
     }
 
     /// The qubit minimizing `(cost[q] + Σ dist to each placed chain,
@@ -735,7 +737,13 @@ impl<'a> Router<'a> {
     /// it, whatever order the fields settled their qubits in. The fields
     /// keep exact `dist` for every qubit they settled, the root
     /// included.
-    fn root(&mut self, placed: &[usize], chains: &[Vec<usize>], start: usize) -> Option<usize> {
+    fn root(
+        &mut self,
+        placed: &[usize],
+        chains: &[Vec<usize>],
+        start: usize,
+        prices: Prices<'_>,
+    ) -> Option<usize> {
         let nq = self.topo.num_qubits();
         let k = placed.len();
         self.roots.start(placed.iter().map(|&u| &chains[u][..]));
@@ -754,7 +762,7 @@ impl<'a> Router<'a> {
                 }
             }
             pops += 1;
-            let q = self.roots.step(self.topo, &self.cost).expect("a live entry is queued");
+            let q = self.roots.step(self.topo, prices).expect("a live entry is queued");
             self.settled_in[q] += 1;
             if self.settled_in[q] == 1 {
                 self.reached.push(q as u32);
@@ -762,7 +770,7 @@ impl<'a> Router<'a> {
             if self.settled_in[q] == k {
                 let sum = self.roots.fields[..k]
                     .iter()
-                    .fold(self.cost[q], |s, field| s.saturating_add(field.dist[q]));
+                    .fold(prices.cost(q), |s, field| s.saturating_add(field.dist[q]));
                 let rank = (q + nq - start) % nq;
                 if best.is_none_or(|(s, r, _)| (sum, rank) < (s, r)) {
                     best = Some((sum, rank, q));
@@ -805,7 +813,12 @@ impl<'a> Router<'a> {
     /// qubit at exactly `d` already holds its exact distance and final
     /// parent, and every other candidate holds more: the scan below
     /// sees the same minimum and the same first qubit at it.
-    fn nearest_next_to(&mut self, neighbor: &[usize], chain: &[usize]) -> Option<usize> {
+    fn nearest_next_to(
+        &mut self,
+        neighbor: &[usize],
+        chain: &[usize],
+        prices: Prices<'_>,
+    ) -> Option<usize> {
         let topo = self.topo;
         for &cu in neighbor {
             for &q in topo.neighbors(cu) {
@@ -814,7 +827,7 @@ impl<'a> Router<'a> {
             }
         }
         self.connect.start(std::iter::once(chain));
-        while let Some(q) = self.connect.step(topo, &self.cost) {
+        while let Some(q) = self.connect.step(topo, prices) {
             if self.near[q] {
                 break;
             }
@@ -841,6 +854,7 @@ impl<'a> Router<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seed::ATTEMPT_STRIDE;
     use std::collections::BinaryHeap;
 
     /// Live entries of a [`RadixQueue`] pop in the order of a binary
@@ -981,7 +995,7 @@ mod tests {
     #[test]
     fn early_stopped_searches_match_full_searches() {
         const MAX_K: usize = 6;
-        let topos = [with_island(&Topology::pegasus_like(6)), Topology::advantage_4_1()];
+        let topos = [with_island(&Topology::pegasus(6)), Topology::advantage_4_1()];
         let adj = vec![(1..=MAX_K).collect::<Vec<_>>()];
         let mut unreachable = 0;
         for (t, topo) in topos.iter().enumerate() {
@@ -992,7 +1006,8 @@ mod tests {
                 let base = [4, 64, 1 << 20, 1 << 40][rng.random_range(0..4)];
                 let usage: Vec<u32> =
                     (0..nq).map(|_| [0, 0, 0, 0, 1, 2, 3][rng.random_range(0..7)]).collect();
-                router.draw_costs(&usage, base, &mut rng);
+                let prices = Prices { usage: &usage, base, key: rng.random() };
+                let cost: Vec<u64> = (0..nq).map(|q| prices.cost(q)).collect();
                 let chain_at = |rng: &mut StdRng| {
                     let from = if t == 0 && rng.random_range(0..8) == 0 {
                         nq - 1 - rng.random_range(0..4)
@@ -1008,14 +1023,12 @@ mod tests {
                 let start = rng.random_range(0..nq);
 
                 let fields: Vec<Vec<u64>> =
-                    chains.iter().map(|c| full_search(topo, &router.cost, c).0).collect();
+                    chains.iter().map(|c| full_search(topo, &cost, c).0).collect();
                 let expected = (0..nq)
                     .map(|i| (start + i) % nq)
                     .filter(|&q| fields.iter().all(|d| d[q] != u64::MAX))
-                    .min_by_key(|&q| {
-                        fields.iter().fold(router.cost[q], |s, d| s.saturating_add(d[q]))
-                    });
-                let root = router.root(&placed, &chains, start);
+                    .min_by_key(|&q| fields.iter().fold(cost[q], |s, d| s.saturating_add(d[q])));
+                let root = router.root(&placed, &chains, start, prices);
                 assert_eq!(root, expected, "root, topology {t} case {case}");
                 if let Some(root) = root {
                     for (f, d) in fields.iter().enumerate() {
@@ -1026,7 +1039,7 @@ mod tests {
                 }
 
                 let (chain, neighbor) = (chain_at(&mut rng), chain_at(&mut rng));
-                let (dist, parent) = full_search(topo, &router.cost, &chain);
+                let (dist, parent) = full_search(topo, &cost, &chain);
                 let expected = neighbor
                     .iter()
                     .flat_map(|&cu| topo.neighbors(cu))
@@ -1039,7 +1052,7 @@ mod tests {
                 for &q in &chain {
                     router.in_chain[q] = true;
                 }
-                let target = router.nearest_next_to(&neighbor, &chain);
+                let target = router.nearest_next_to(&neighbor, &chain, prices);
                 assert_eq!(target, expected, "nearest, topology {t} case {case}");
                 if let Some(mut q) = target {
                     while !chain.contains(&q) {
@@ -1071,14 +1084,14 @@ mod tests {
 
     #[test]
     fn tries_never_alias_try_zero_of_a_related_seed() {
-        const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
         // The annealer backend's rip-up attempt `k` (its try 0).
-        let attempt = |s: u64, k: u64| derive_seed(s, k, PHI);
-        for s in (0..64u64).chain([u64::MAX, PHI, 1 << 63]) {
+        let attempt = |s: u64, k: u64| derive_seed(s, k, ATTEMPT_STRIDE);
+        for s in (0..64u64).chain([u64::MAX, ATTEMPT_STRIDE, 1 << 63]) {
             assert_eq!(try_seed(s, 0), s, "try 0 must keep the caller's seed");
             for t in 1..16usize {
                 let k = t as u64;
-                for related in [s.wrapping_add(k), s ^ k.wrapping_mul(PHI), attempt(s, k)] {
+                let linear = s ^ k.wrapping_mul(ATTEMPT_STRIDE);
+                for related in [s.wrapping_add(k), linear, attempt(s, k)] {
                     assert_ne!(try_seed(s, t), try_seed(related, 0), "seed {s} try {t}");
                 }
             }
@@ -1166,10 +1179,10 @@ mod tests {
     }
 
     #[test]
-    fn larger_scale_on_pegasus_like() {
+    fn larger_scale_on_pegasus() {
         // A 48-variable one-hot style problem on the Advantage-scale
         // lattice (the paper's clique-cover instances are this size).
-        let topo = Topology::pegasus_like(6);
+        let topo = Topology::pegasus(6);
         let mut adj = vec![Vec::new(); 48];
         for v in 0..12 {
             for a in 0..4 {

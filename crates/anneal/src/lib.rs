@@ -4,8 +4,8 @@
 //! 4.1 system of the paper's evaluation. The full Ocean-style pipeline
 //! is reproduced:
 //!
-//! * [`topology`] — Chimera and Pegasus-like hardware graphs (5,640
-//!   qubits at the Advantage preset, interior degree 9, K4 cliques).
+//! * [`topology`] — Chimera and Pegasus hardware graphs (the Advantage
+//!   preset is the Pegasus P16 fabric: 5,640 qubits, degree 15).
 //! * [`embed`] — heuristic minor embedding: logical variables become
 //!   *chains* of physical qubits, the effect behind the paper's
 //!   physical-qubits ≫ variables observations (§VIII-A).
@@ -18,7 +18,8 @@
 //! * [`device`] — the assembled [`AnnealerDevice`] with the
 //!   `advantage_4_1()` preset.
 //! * [`seed`] — the one seed-derivation function every stream above
-//!   (and the execution layer's attempt seeds) is drawn from.
+//!   (and the execution layer's attempt seeds) is drawn from, with one
+//!   named stride per stream.
 //!
 //! ```
 //! use nck_anneal::AnnealerDevice;

@@ -12,7 +12,7 @@
 //! annealed alone would do, so the samples are the same whichever
 //! worker or lane drew them.
 
-use crate::seed::derive_seed;
+use crate::seed::{derive_seed, READ_STRIDE};
 use nck_cancel::CancelToken;
 use nck_qubo::Ising;
 use rand::rngs::StdRng;
@@ -315,9 +315,9 @@ impl PreparedIsing {
         // other data (results come back through `join`), so `Relaxed`
         // suffices.
         let next = AtomicUsize::new(0);
-        // Read `r` draws stream `r + 1` of the job seed (φ stride), so
-        // no read's RNG is seeded with the raw job seed.
-        let stream = |read: usize| derive_seed(seed, read as u64 + 1, 0x9e3779b97f4a7c15);
+        // Read `r` draws stream `r + 1` of the job seed, so no read's RNG
+        // is seeded with the raw job seed.
+        let stream = |read: usize| derive_seed(seed, read as u64 + 1, READ_STRIDE);
         let work = || {
             // Allocated on first use: a job of fewer than `LANES` reads
             // never builds the wide buffers.

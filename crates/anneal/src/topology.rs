@@ -1,16 +1,13 @@
 //! Quantum-annealer hardware topologies.
 //!
-//! Two families: the classic Chimera lattice (D-Wave 2000Q era), and a
-//! Pegasus-like lattice matching the qubit count, K4 cliques, and 2-D
-//! locality of the Advantage generation at interior degree 9, where
-//! real Pegasus reaches degree 15 through shifted internal couplers
-//! this construction leaves out. What drives the paper's observations
-//! — chain length growth with problem density, physical qubit count
-//! `≫` logical variable count — depends on qubit count, shore wires,
-//! and locality, which it preserves; the lower degree is why our
-//! embeddings use more physical qubits than the paper's (see
-//! DESIGN.md's substitution table and EXPERIMENTS.md's known
-//! deviations).
+//! Two families: the classic Chimera lattice (D-Wave 2000Q era), and
+//! Pegasus (Boothby, Bunyk, Raymond & Roy, "Next-Generation Topology of
+//! D-Wave Quantum Processors", arXiv:2003.00133), the graph of the
+//! Advantage generation. The paper's Advantage 4.1 is the fabric of a
+//! Pegasus P16: 5,640 qubits and 40,484 couplers, degree 15 in the
+//! interior. Each qubit couples along its wire (external couplers), to
+//! its pair partner (odd couplers), and to twelve crossing wires of the
+//! other orientation (internal couplers).
 
 use std::sync::Arc;
 
@@ -31,6 +28,8 @@ struct Graph {
     /// ascending.
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
+    /// The `m` of a Pegasus graph, which hosts the clique embedding.
+    pegasus: Option<usize>,
 }
 
 impl Topology {
@@ -67,12 +66,17 @@ impl Topology {
             neighbors[fill[b as usize] as usize] = a;
             fill[b as usize] += 1;
         }
-        Topology::from_rows(name.into(), offsets, neighbors)
+        Topology::from_rows(name.into(), offsets, neighbors, None)
     }
 
-    fn from_rows(name: String, offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
+    fn from_rows(
+        name: String,
+        offsets: Vec<u32>,
+        neighbors: Vec<u32>,
+        pegasus: Option<usize>,
+    ) -> Self {
         debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(neighbors.len()));
-        Topology { graph: Arc::new(Graph { name, offsets, neighbors }) }
+        Topology { graph: Arc::new(Graph { name, offsets, neighbors, pegasus }) }
     }
 
     /// Device name.
@@ -141,94 +145,75 @@ impl Topology {
         Topology::new(format!("chimera({m},{n},{t})"), num_qubits, &couplers)
     }
 
-    /// A Pegasus-like lattice with `8(3m−1)(m−1)` qubits (5640 at
-    /// `m = 16`, the paper's Advantage 4.1 figure): an
-    /// `(m−1) × (3m−1)` grid of Chimera-style `K_{4,4}` cells — whose
-    /// shore "wires" run across the grid, the structural property that
-    /// makes compact minor embeddings possible — augmented with
-    /// Pegasus-style intra-shore couplers (each shore forms a clique),
-    /// giving interior degree 9. (Real Pegasus reaches degree 15 with
-    /// additional shifted couplers; qubit count, wires, and
-    /// better-than-Chimera local cliques are the embedding-relevant
-    /// properties reproduced here — see DESIGN.md.)
-    pub fn pegasus_like(m: usize) -> Self {
-        assert!(m >= 2, "pegasus_like needs m >= 2");
-        let rows = m - 1;
-        let cols = 3 * m - 1;
-        let cell = 8;
-        let num_qubits = rows * cols * cell;
-        // shore 0 = "vertical" (wires down columns),
-        // shore 1 = "horizontal" (wires along rows).
-        let id = |r: usize, c: usize, shore: usize, k: usize| (r * cols + c) * cell + shore * 4 + k;
-        let mut couplers = Vec::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                for a in 0..4 {
-                    // K_{4,4} between shores.
-                    for b in 0..4 {
-                        couplers.push((id(r, c, 0, a), id(r, c, 1, b)));
-                    }
-                    // Pegasus-style intra-shore cliques.
-                    for b in a + 1..4 {
-                        couplers.push((id(r, c, 0, a), id(r, c, 0, b)));
-                        couplers.push((id(r, c, 1, a), id(r, c, 1, b)));
-                    }
-                    // Wires: vertical shore couples down the column,
-                    // horizontal shore along the row.
-                    if r + 1 < rows {
-                        couplers.push((id(r, c, 0, a), id(r + 1, c, 0, a)));
-                    }
-                    if c + 1 < cols {
-                        couplers.push((id(r, c, 1, a), id(r, c + 1, 1, a)));
+    /// The Pegasus graph `P_m`, fabric only (`m ≥ 2`): `24m(m−1)` qubits
+    /// `(u, w, k, z)` with orientation `u < 2`, wire `w < m`, track
+    /// `k < 12` and segment `z < m−1`, less the `8(m−1)` that no
+    /// coupler reaches. `P_16` is the 5,640-qubit Advantage 4.1.
+    ///
+    /// Each qubit's row is written straight from its coordinates, so the
+    /// build allocates the two adjacency buffers and nothing else.
+    pub fn pegasus(m: usize) -> Self {
+        Self::build_pegasus(m, format!("pegasus({m})"))
+    }
+
+    fn build_pegasus(m: usize, name: String) -> Self {
+        assert!(m >= 2, "pegasus needs m >= 2");
+        let p = Pegasus { m };
+        let n = p.num_qubits();
+        assert!(u32::try_from(15 * n).is_ok(), "row offsets are stored as u32");
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::with_capacity(15 * n);
+        offsets.push(0);
+        for u in 0..2 {
+            for w in 0..m {
+                for k in p.tracks(w) {
+                    for z in 0..m - 1 {
+                        let mut row = [0u32; 15];
+                        let len = p.row(u, w, k, z, &mut row);
+                        row[..len].sort_unstable();
+                        neighbors.extend_from_slice(&row[..len]);
+                        offsets.push(neighbors.len() as u32);
                     }
                 }
             }
         }
-        Topology::new(format!("pegasus_like({m})"), num_qubits, &couplers)
+        debug_assert_eq!(offsets.len(), n + 1);
+        Topology::from_rows(name, offsets, neighbors, Some(m))
     }
 
-    /// The Advantage 4.1 preset used throughout the evaluation: a
-    /// Pegasus-like lattice with the paper's quoted 5,640 qubits.
+    /// The Advantage 4.1 preset used throughout the evaluation: the
+    /// Pegasus `P_16` fabric, the paper's 5,640 qubits.
     pub fn advantage_4_1() -> Self {
-        let t = Self::pegasus_like(16);
-        let g = Arc::try_unwrap(t.graph).expect("a fresh topology is not shared");
-        Topology::from_rows("Advantage_4.1(sim)".into(), g.offsets, g.neighbors)
+        Self::build_pegasus(16, "Advantage_4.1(sim)".into())
     }
 
-    /// Precomputed complete-graph embedding for [`Topology::pegasus_like`]`(m)`
-    /// — the `DWaveCliqueSampler` pattern. Logical variable `i` becomes
-    /// an L-shaped chain: the shore-0 (vertical) wire `i mod 4` of
-    /// column `i/4` spanning `g` rows, joined to the shore-1
-    /// (horizontal) wire `i mod 4` of row `i/4` spanning `g` columns,
-    /// where `g = ⌈k/4⌉`. Any two chains cross in exactly one cell,
-    /// where the `K_{4,4}` coupler connects them, so the embedding
-    /// hosts `K_k` for `k ≤ 4·min(m−1, 3m−1)` with uniform chain
-    /// length `2g`.
+    /// A complete-graph embedding of `K_k`, the `DWaveCliqueSampler`
+    /// pattern, or `None` when `k` is 0, the graph is not Pegasus, or
+    /// `k > 4(m−1)`.
     ///
-    /// Returns `None` when `k` exceeds the lattice.
-    pub fn pegasus_like_clique_embedding(m: usize, k: usize) -> Option<crate::embed::Embedding> {
-        let rows = m - 1;
-        let cols = 3 * m - 1;
-        let g = k.div_ceil(4).max(1);
-        if g > rows || g > cols || k == 0 {
+    /// `P_m` contains the Chimera lattice `C(m−1, m−1, 4)`: its cell
+    /// `(y, x)` holds the vertical qubits `(0, x, 4+j, y)` and the
+    /// horizontal qubits `(1, y+1, 4+j, x)`, `j < 4`, which internal
+    /// couplers join as a `K_{4,4}`, while external couplers run the
+    /// vertical ones down the column and the horizontal ones along the
+    /// row (dwave-networkx's "nice coordinates", `t = 0`). Logical
+    /// variable `i` becomes an L-shaped chain: vertical wire `i mod 4`
+    /// of column `i/4` across rows `0..g`, joined in cell `(i/4, i/4)`
+    /// to horizontal wire `i mod 4` of row `i/4` across columns `0..g`,
+    /// where `g = ⌈k/4⌉`. Every two chains cross in one cell, whose
+    /// `K_{4,4}` couples them, and every chain has `2g` qubits.
+    pub fn clique_embedding(&self, k: usize) -> Option<crate::embed::Embedding> {
+        let p = Pegasus { m: self.graph.pegasus? };
+        let g = k.div_ceil(4);
+        if k == 0 || g > p.m - 1 {
             return None;
         }
-        let id = |r: usize, c: usize, shore: usize, kk: usize| (r * cols + c) * 8 + shore * 4 + kk;
         let chains = (0..k)
             .map(|i| {
-                let band = i / 4;
-                let wire = i % 4;
-                let mut chain = Vec::with_capacity(2 * g);
-                for r in 0..g {
-                    chain.push(id(r, band, 0, wire)); // vertical segment
-                }
-                for c in 0..g {
-                    // Horizontal segment; in the corner cell (c == band)
-                    // the K_{4,4} coupler bridges it to the vertical
-                    // segment, keeping the chain connected.
-                    chain.push(id(band, c, 1, wire));
-                }
-                chain
+                let (band, j) = (i / 4, 4 + i % 4);
+                let vertical = (0..g).map(|y| p.index(0, band, j, y));
+                let horizontal = (0..g).map(|x| p.index(1, band + 1, j, x));
+                vertical.chain(horizontal).collect()
             })
             .collect();
         Some(crate::embed::Embedding::from_chains(chains))
@@ -240,6 +225,72 @@ impl Topology {
         let couplers: Vec<(usize, usize)> =
             (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).collect();
         Topology::new(format!("complete({n})"), n, &couplers)
+    }
+}
+
+/// Internal-coupler shifts of Pegasus: `OFFSETS[u][k]` is the shift
+/// of track `k` of orientation `u` (arXiv:2003.00133; dwave-networkx's
+/// `pegasus_graph` default).
+const OFFSETS: [[usize; 12]; 2] =
+    [[2, 2, 2, 2, 10, 10, 10, 10, 6, 6, 6, 6], [6, 6, 6, 6, 2, 2, 2, 2, 10, 10, 10, 10]];
+
+/// Coordinates and numbering of the `P_m` fabric. Qubit `(u, w, k, z)`
+/// exists unless `w = 0, k < 2` or `w = m−1, k ≥ 10`, and the fabric
+/// numbers qubits in `(u, w, k, z)` order.
+#[derive(Clone, Copy)]
+struct Pegasus {
+    m: usize,
+}
+
+impl Pegasus {
+    fn num_qubits(self) -> usize {
+        2 * (self.m - 1) * (12 * self.m - 4)
+    }
+
+    /// The tracks of wire `w` that hold fabric qubits.
+    fn tracks(self, w: usize) -> std::ops::Range<usize> {
+        usize::from(w == 0) * 2..if w == self.m - 1 { 10 } else { 12 }
+    }
+
+    /// The fabric index of qubit `(u, w, k, z)`.
+    fn index(self, u: usize, w: usize, k: usize, z: usize) -> usize {
+        let s = self.m - 1;
+        // Wire 0 has 10 tracks, every later wire before `w` has 12.
+        let before = if w == 0 { 0 } else { 12 * w - 2 };
+        ((u * (12 * self.m - 4) + before + k - self.tracks(w).start) * s) + z
+    }
+
+    /// Write the neighbours of qubit `(u, w, k, z)` into `row`, unsorted,
+    /// and return how many there are.
+    fn row(self, u: usize, w: usize, k: usize, z: usize, row: &mut [u32; 15]) -> usize {
+        let s = self.m - 1;
+        let mut len = 0;
+        let mut push = |q: usize| {
+            row[len] = q as u32;
+            len += 1;
+        };
+        // External couplers along the wire, and the odd coupler to the
+        // pair partner; a fabric qubit's partner is fabric too.
+        if z > 0 {
+            push(self.index(u, w, k, z - 1));
+        }
+        if z + 1 < s {
+            push(self.index(u, w, k, z + 1));
+        }
+        push(self.index(u, w, k ^ 1, z));
+        // Internal couplers join `(0, w, k, z)` and
+        // `(1, z + [t < OFFSETS[0][k]], t, w − [k < OFFSETS[1][t]])` for
+        // every track `t` where that segment lies in `0..m−1`. Solved for
+        // the first qubit, the rule reads the same with the orientations,
+        // and so the shift lists, swapped.
+        let v = 1 - u;
+        for (t, &shift) in OFFSETS[v].iter().enumerate() {
+            let Some(seg) = w.checked_sub(usize::from(k < shift)) else { continue };
+            if seg < s {
+                push(self.index(v, z + usize::from(t < OFFSETS[u][k]), t, seg));
+            }
+        }
+        len
     }
 }
 
@@ -265,71 +316,131 @@ mod tests {
         assert_eq!(interior, 6);
     }
 
-    #[test]
-    fn pegasus_like_qubit_count_matches_paper() {
-        // 8(3m−1)(m−1); the paper quotes 5,640 for Advantage 4.1.
-        assert_eq!(Topology::pegasus_like(16).num_qubits(), 5640);
-        assert_eq!(Topology::advantage_4_1().num_qubits(), 5640);
-        assert_eq!(Topology::pegasus_like(2).num_qubits(), 8 * 5);
+    /// The published `P_m` coupler list (arXiv:2003.00133, as
+    /// dwave-networkx's `pegasus_graph` builds it), with the coupled
+    /// qubits numbered in `(u, w, k, z)` order: the fabric's qubit
+    /// count and couplers.
+    fn published_pegasus(m: usize) -> (usize, Vec<(usize, usize)>) {
+        let s = m - 1;
+        let (off0, off1) = (OFFSETS[0], OFFSETS[1]);
+        let fabric = |w: usize, k: usize| !(w == 0 && k < 2 || w == s && k >= 10);
+        let mut edges = Vec::new();
+        for u in 0..2 {
+            for w in 0..m {
+                for k in (0..12).filter(|&k| fabric(w, k)) {
+                    for z in 0..s {
+                        if z + 1 < s {
+                            edges.push(((u, w, k, z), (u, w, k, z + 1)));
+                        }
+                        if k % 2 == 0 {
+                            edges.push(((u, w, k, z), (u, w, k + 1, z)));
+                        }
+                    }
+                }
+            }
+        }
+        for w in 0..m {
+            for (kk, &o1) in off1.iter().enumerate() {
+                let ks = if w == 0 { o1 } else { 0 }..if w < s { 12 } else { o1 };
+                for k in ks {
+                    for z in 0..s {
+                        let other = (1, z + usize::from(kk < off0[k]), kk, w - usize::from(k < o1));
+                        edges.push(((0, w, k, z), other));
+                    }
+                }
+            }
+        }
+        let label = |(u, w, k, z): (usize, usize, usize, usize)| ((u * m + w) * 12 + k) * s + z;
+        let mut coupled = vec![false; 24 * m * s];
+        for &(a, b) in &edges {
+            coupled[label(a)] = true;
+            coupled[label(b)] = true;
+        }
+        let mut index = vec![usize::MAX; coupled.len()];
+        let mut n = 0;
+        for (l, _) in coupled.iter().enumerate().filter(|(_, &c)| c) {
+            index[l] = n;
+            n += 1;
+        }
+        (n, edges.iter().map(|&(a, b)| (index[label(a)], index[label(b)])).collect())
     }
 
     #[test]
-    fn pegasus_like_interior_degree_is_9() {
-        // Interior qubit: 4 cross-shore + 3 intra-shore + 2 wire.
-        let t = Topology::pegasus_like(4);
-        let rows = 3;
-        let cols = 11;
-        let interior = ((rows / 2) * cols + cols / 2) * 8; // shore-0 qubit mid-grid
-        assert_eq!(t.degree(interior), 9);
+    fn pegasus_counts() {
+        // (m, qubits, couplers); P_16 is the paper's 5,640-qubit
+        // Advantage 4.1.
+        for (m, qubits, couplers) in
+            [(2, 40, 164), (3, 128, 704), (6, 680, 4_484), (16, 5_640, 40_484)]
+        {
+            let t = Topology::pegasus(m);
+            assert_eq!((t.num_qubits(), t.num_couplers()), (qubits, couplers), "m = {m}");
+        }
+        let a = Topology::advantage_4_1();
+        assert_eq!((a.num_qubits(), a.num_couplers()), (5_640, 40_484));
     }
 
     #[test]
-    fn pegasus_like_has_wires() {
-        // Shore-0 qubits couple to the same index one cell down; shore-1
-        // along the row — the property compact embeddings rely on.
-        let t = Topology::pegasus_like(4);
-        let cols = 11;
-        let id = |r: usize, c: usize, shore: usize, k: usize| (r * cols + c) * 8 + shore * 4 + k;
-        assert!(t.coupled(id(0, 5, 0, 2), id(1, 5, 0, 2)));
-        assert!(t.coupled(id(1, 4, 1, 3), id(1, 5, 1, 3)));
-        assert!(!t.coupled(id(0, 5, 0, 2), id(1, 5, 0, 3)));
+    fn advantage_has_degree_15() {
+        let t = Topology::advantage_4_1();
+        let degrees: Vec<usize> = (0..t.num_qubits()).map(|q| t.degree(q)).collect();
+        assert_eq!(degrees.iter().max(), Some(&15));
+        assert_eq!(degrees.iter().filter(|&&d| d == 15).count(), 4_472);
     }
 
     #[test]
-    fn clique_embedding_is_valid_complete_graph_minor() {
-        let m = 6;
-        let topo = Topology::pegasus_like(m);
-        for k in [1usize, 4, 7, 12, 20] {
-            let e = Topology::pegasus_like_clique_embedding(m, k).expect("fits");
-            let adj: Vec<Vec<usize>> =
-                (0..k).map(|u| (0..k).filter(|&v| v != u).collect()).collect();
-            assert!(e.is_valid(&adj, &topo), "K{k} embedding invalid on m={m}");
-            // Uniform L-shaped chains: 2g qubits each.
-            let g = k.div_ceil(4);
-            assert_eq!(e.max_chain_length(), 2 * g);
+    fn pegasus_rows_match_the_published_couplers() {
+        for m in [2, 3, 6, 16] {
+            let (n, couplers) = published_pegasus(m);
+            let expected = Topology::new("published", n, &couplers);
+            let t = Topology::pegasus(m);
+            assert_eq!(t.num_qubits(), n, "m = {m}");
+            for q in 0..n {
+                assert_eq!(t.neighbors(q), expected.neighbors(q), "m = {m}, qubit {q}");
+            }
         }
     }
 
     #[test]
-    fn clique_embedding_rejects_oversize() {
-        // m = 4: rows = 3 → K12 is the largest clique (4·3 wires).
-        assert!(Topology::pegasus_like_clique_embedding(4, 12).is_some());
-        assert!(Topology::pegasus_like_clique_embedding(4, 13).is_none());
+    fn clique_embedding_is_valid_complete_graph_minor() {
+        for m in 2..=6 {
+            let topo = Topology::pegasus(m);
+            for k in 1..=4 * (m - 1) {
+                let e = topo.clique_embedding(k).expect("fits");
+                let adj: Vec<Vec<usize>> =
+                    (0..k).map(|u| (0..k).filter(|&v| v != u).collect()).collect();
+                assert!(e.is_valid(&adj, &topo), "K{k} embedding invalid on m={m}");
+                // Uniform L-shaped chains: 2g qubits each.
+                let g = k.div_ceil(4);
+                assert!(e.chains().iter().all(|c| c.len() == 2 * g && c.is_sorted()));
+            }
+            assert!(topo.clique_embedding(0).is_none());
+            assert!(topo.clique_embedding(4 * (m - 1) + 1).is_none(), "m = {m}");
+        }
+    }
+
+    #[test]
+    fn only_pegasus_has_a_clique_embedding() {
+        let custom = Topology::new("path3", 3, &[(0, 1), (1, 2)]);
+        for t in [Topology::chimera(4, 4, 4), Topology::complete(8), custom] {
+            assert!(t.clique_embedding(1).is_none(), "{}", t.name());
+        }
     }
 
     #[test]
     fn advantage_hosts_k60() {
         let topo = Topology::advantage_4_1();
         let k = 60;
-        let e = Topology::pegasus_like_clique_embedding(16, k).expect("fits");
+        let e = topo.clique_embedding(k).expect("fits");
         let adj: Vec<Vec<usize>> = (0..k).map(|u| (0..k).filter(|&v| v != u).collect()).collect();
         assert!(e.is_valid(&adj, &topo));
+        assert!(topo.clique_embedding(k + 1).is_none());
     }
 
     #[test]
     fn coupled_is_symmetric() {
-        let t = Topology::pegasus_like(3);
+        let t = Topology::pegasus(3);
         for q in 0..t.num_qubits() {
+            assert!(t.neighbors(q).is_sorted(), "row {q}");
             for &n in t.neighbors(q) {
                 let n = n as usize;
                 assert!(t.coupled(n, q));
@@ -346,8 +457,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_couplers_ignored() {
-        let t = Topology::new("x", 3, &[(0, 1), (1, 0), (0, 1)]);
-        assert_eq!(t.num_couplers(), 1);
+    fn duplicate_and_reversed_couplers_collapse() {
+        let t = Topology::new("x", 4, &[(0, 1), (3, 1), (1, 0), (0, 1), (1, 3), (2, 0)]);
+        assert_eq!(t.num_couplers(), 3);
+        assert_eq!(t.neighbors(0), [1, 2]);
+        assert_eq!(t.neighbors(1), [0, 3]);
+        assert_eq!(t.neighbors(2), [0]);
+        assert_eq!(t.neighbors(3), [1]);
     }
 }

@@ -6,7 +6,7 @@ use crate::budget::attempt_seed;
 use crate::error::{ExecError, FaultKind};
 use crate::fault::FaultInjection;
 use crate::journal::{JournalKind, RunCtx};
-use nck_anneal::{find_embedding, AnnealError, AnnealSample, AnnealerDevice, Embedding, Topology};
+use nck_anneal::{find_embedding, AnnealError, AnnealSample, AnnealerDevice, Embedding};
 use nck_qubo::Qubo;
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -22,11 +22,11 @@ pub const EMBED_RESEED_TRIES: u32 = 3;
 /// reported (the paper's §VII protocol).
 ///
 /// Embedding policy: the heuristic embedder is retried with a fresh
-/// rip-up seed up to [`EMBED_RESEED_TRIES`] times, then the device's
-/// precomputed clique embedding is tried, and only then does the run
-/// fail with [`AnnealError::EmbeddingFailed`]. Found embeddings are
-/// cached per QUBO structure, so multi-seed sweeps embed once (the
-/// `FixedEmbeddingComposite` pattern).
+/// rip-up seed up to [`EMBED_RESEED_TRIES`] times, then the device
+/// topology's clique embedding is tried (Pegasus only), and only then
+/// does the run fail with [`AnnealError::EmbeddingFailed`]. Found
+/// embeddings are cached per QUBO structure, so multi-seed sweeps embed
+/// once (the `FixedEmbeddingComposite` pattern).
 #[derive(Debug)]
 pub struct AnnealerBackend {
     /// The device to sample on.
@@ -106,19 +106,18 @@ impl AnnealerBackend {
             ctx.stages.embed_retries += 1;
         }
         if found.is_none() {
-            if let Some(m) = self.device.clique_fallback {
-                found = Topology::pegasus_like_clique_embedding(m, qubo.num_vars());
-                if found.is_some() {
-                    // The heuristic embedder failed every attempt; the
-                    // clique fallback rescued the run. Keep the
-                    // suppressed error's provenance in the journal.
-                    ctx.note_suppressed(ExecError::Anneal(AnnealError::EmbeddingFailed {
-                        logical_vars: qubo.num_vars(),
-                        device_qubits: self.device.topology.num_qubits(),
-                    }));
-                    ctx.note(JournalKind::FallbackTaken { what: "clique embedding" });
-                    ctx.stages.fallbacks += 1;
-                }
+            found = self.device.topology.clique_embedding(qubo.num_vars());
+            if let Some(e) = &found {
+                debug_assert!(e.is_valid(&adj, &self.device.topology));
+                // The heuristic embedder failed every attempt; the clique
+                // fallback rescued the run. Keep the suppressed error's
+                // provenance in the journal.
+                ctx.note_suppressed(ExecError::Anneal(AnnealError::EmbeddingFailed {
+                    logical_vars: qubo.num_vars(),
+                    device_qubits: self.device.topology.num_qubits(),
+                }));
+                ctx.note(JournalKind::FallbackTaken { what: "clique embedding" });
+                ctx.stages.fallbacks += 1;
             }
         }
         let embedding = found.ok_or(ExecError::Anneal(AnnealError::EmbeddingFailed {

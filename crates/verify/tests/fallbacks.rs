@@ -40,7 +40,7 @@ fn exhausted_retries_without_fallback_are_a_typed_error() {
     let p = vertex_cover();
     let plan = ExecutionPlan::new(&p);
     let device = AnnealerDevice::ideal(16);
-    assert!(device.clique_fallback.is_none());
+    assert!(device.topology.clique_embedding(5).is_none());
     let tries = 3;
     let backend =
         AnnealerBackend::new(device, 64).with_faults(FaultInjection::embed_failures(tries + 1));
@@ -57,7 +57,7 @@ fn exhausted_retries_fall_back_to_the_clique_embedding() {
     let p = vertex_cover();
     let plan = ExecutionPlan::new(&p);
     let device = AnnealerDevice::advantage_4_1();
-    assert!(device.clique_fallback.is_some());
+    assert!(device.topology.clique_embedding(5).is_some());
     let backend = AnnealerBackend::new(device, 64).with_faults(FaultInjection::embed_failures(16));
     let report = plan.run(&backend, 7).unwrap();
     assert_eq!(report.timings.fallbacks, 1, "clique fallback must have fired");
