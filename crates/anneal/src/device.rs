@@ -589,9 +589,9 @@ mod tests {
 
     #[test]
     fn qubits_used_exceed_variables_on_dense_problems() {
-        // §VIII-A: dense coupling forces chains. K12 on the
-        // Pegasus-like lattice (degree 15) still usually chains some
-        // variables; check physical ≥ logical at minimum.
+        // §VIII-A: dense coupling forces chains. K12 on Pegasus
+        // (degree 15) still usually chains some variables; check
+        // physical ≥ logical at minimum.
         let mut q = Qubo::new(12);
         for i in 0..12 {
             for j in i + 1..12 {

@@ -9,8 +9,7 @@
 //! with the same seed must schedule the same backoffs, so chaos-suite
 //! failures replay exactly.
 
-use nck_anneal::seed::ATTEMPT_STRIDE;
-use nck_anneal::{derive_seed, splitmix64};
+use nck_anneal::seed::{derive_seed, splitmix64, ATTEMPT_STRIDE};
 use nck_cancel::CancelToken;
 use std::time::Duration;
 
