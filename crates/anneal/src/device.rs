@@ -8,14 +8,20 @@
 use crate::chain::{embed_ising, suggested_chain_strength, EmbeddedIsing};
 use crate::embed::{find_embedding, Embedding};
 use crate::gauge::Gauge;
+use crate::postprocess::steepest_descent;
 use crate::sampler::{NoiseModel, PreparedIsing, SaParams};
-use crate::seed::{derive_seed, GAUGE_STRIDE};
+use crate::seed::{attempt_seed, derive_seed, GAUGE_STRIDE};
 use crate::timing::TimingModel;
 use crate::topology::Topology;
 use nck_cancel::CancelToken;
 use nck_qubo::Qubo;
 use std::fmt;
+use std::ops::Range;
 use std::time::Duration;
+
+/// Heuristic embedding attempts after the first, each at a fresh rip-up
+/// seed, before [`AnnealerDevice::embed`] takes the clique embedding.
+pub const EMBED_RESEED_TRIES: u32 = 3;
 
 /// Errors from the annealing pipeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,8 +73,6 @@ pub struct AnnealResult {
     pub chain_break_fraction: f64,
     /// Modeled QPU access time for the job.
     pub qpu_access_time: Duration,
-    /// The embedding used (for diagnostics).
-    pub embedding: Embedding,
 }
 
 impl AnnealResult {
@@ -152,29 +156,51 @@ impl AnnealerDevice {
         }
     }
 
+    /// Find a minor embedding of `qubo`: the heuristic embedder at
+    /// `seed`, then at up to [`EMBED_RESEED_TRIES`] fresh rip-up seeds
+    /// (attempt `k` at [`attempt_seed`]`(seed, k)`), each with
+    /// `embed_tries` restarts, and then the topology's clique embedding.
+    /// The first `skip_attempts` attempts count as failed without
+    /// running (fault injection). Returns the embedding and how many
+    /// attempts before it failed: `EMBED_RESEED_TRIES + 1` means the
+    /// clique embedding was taken.
+    pub fn embed(
+        &self,
+        qubo: &Qubo,
+        seed: u64,
+        skip_attempts: u32,
+    ) -> Result<(Embedding, u32), AnnealError> {
+        let adj = qubo.adjacency();
+        for attempt in skip_attempts..=EMBED_RESEED_TRIES {
+            let rip_up_seed = attempt_seed(seed, attempt);
+            if let Some(embedding) =
+                find_embedding(&adj, &self.topology, rip_up_seed, self.embed_tries)
+            {
+                return Ok((embedding, attempt));
+            }
+        }
+        // Dense problems can defeat the heuristic; the clique embedding
+        // hosts any minor of K_n directly.
+        let embedding = self.topology.clique_embedding(qubo.num_vars()).ok_or(
+            AnnealError::EmbeddingFailed {
+                logical_vars: qubo.num_vars(),
+                device_qubits: self.topology.num_qubits(),
+            },
+        )?;
+        debug_assert!(embedding.is_valid(&adj, &self.topology));
+        Ok((embedding, EMBED_RESEED_TRIES + 1))
+    }
+
     /// Run one job of `num_reads` samples on `qubo`, finding a fresh
-    /// minor embedding, or taking the topology's clique embedding when
-    /// the heuristic fails.
+    /// embedding with [`embed`](Self::embed).
     pub fn sample_qubo(
         &self,
         qubo: &Qubo,
         num_reads: usize,
         seed: u64,
     ) -> Result<AnnealResult, AnnealError> {
-        let adj = qubo.adjacency();
-        let embedding = find_embedding(&adj, &self.topology, seed, self.embed_tries)
-            .or_else(|| {
-                // Dense problems can defeat the heuristic; the clique
-                // embedding hosts any minor of K_n directly.
-                let e = self.topology.clique_embedding(qubo.num_vars())?;
-                debug_assert!(e.is_valid(&adj, &self.topology));
-                Some(e)
-            })
-            .ok_or(AnnealError::EmbeddingFailed {
-                logical_vars: qubo.num_vars(),
-                device_qubits: self.topology.num_qubits(),
-            })?;
-        self.sample_qubo_embedded(qubo, &embedding, num_reads, seed)
+        let (embedding, _) = self.embed(qubo, seed, 0)?;
+        Ok(self.sample_qubo_embedded(qubo, &embedding, num_reads, seed))
     }
 
     /// Run one job reusing a previously found embedding — the
@@ -187,53 +213,21 @@ impl AnnealerDevice {
         embedding: &Embedding,
         num_reads: usize,
         seed: u64,
-    ) -> Result<AnnealResult, AnnealError> {
-        self.sample_qubo_embedded_resumable(
-            qubo,
-            embedding,
-            num_reads,
-            seed,
-            0,
-            Vec::new(),
-            0,
-            &CancelToken::never(),
-            &mut |_, _| {},
-        )
+    ) -> AnnealResult {
+        let job = self.job(qubo, embedding, num_reads, seed);
+        job.finish(job.sample(0..num_reads, &CancelToken::never()))
     }
 
-    /// [`sample_qubo_embedded`](Self::sample_qubo_embedded) under
-    /// cooperative cancellation, with mid-solve checkpoint/resume.
-    ///
-    /// The anneal sweep loops poll `cancel`, so a fired deadline
-    /// returns the reads completed so far (possibly none) instead of
-    /// running the job to the end; the chain-break fraction is then
-    /// taken over the reads returned.
-    ///
-    /// Each read's RNG stream depends only on the job seed and the
-    /// read's global index, so a run that computed reads
-    /// `[0..skip_reads)` before dying and a resume computing
-    /// `[skip_reads..num_reads)` produce, together, exactly the
-    /// samples of one uninterrupted run.
-    ///
-    /// `restored` carries the decoded samples of the skipped reads (in
-    /// generation order, pre-sort). Every `chunk` completed reads
-    /// (`0` = never) `on_progress(reads_done, samples_so_far)` fires so
-    /// the caller can persist a checkpoint; it is only called after
-    /// fully completed, uncancelled chunks, so a persisted
-    /// `reads_done` is always safe to resume from.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_qubo_embedded_resumable(
-        &self,
-        qubo: &Qubo,
+    /// Prepare a job of `num_reads` samples on `qubo` over `embedding`
+    /// once (autoscale, Ising, chains, each gauge's sampler), to draw
+    /// with [`AnnealJob::sample`] and close with [`AnnealJob::finish`].
+    pub fn job<'a>(
+        &'a self,
+        qubo: &'a Qubo,
         embedding: &Embedding,
         num_reads: usize,
         seed: u64,
-        skip_reads: usize,
-        restored: Vec<AnnealSample>,
-        chunk: usize,
-        cancel: &CancelToken,
-        on_progress: &mut dyn FnMut(usize, &[AnnealSample]),
-    ) -> Result<AnnealResult, AnnealError> {
+    ) -> AnnealJob<'a> {
         // Autoscale to the device range [−1, 1] (argmin-preserving).
         let mut scaled = qubo.clone();
         let m = scaled.max_abs_coeff();
@@ -242,68 +236,122 @@ impl AnnealerDevice {
         }
         let logical = scaled.to_ising();
         let strength = suggested_chain_strength(&logical) * self.chain_strength_scale;
-        let embedded: EmbeddedIsing = embed_ising(&logical, embedding, &self.topology, strength);
+        let embedded = embed_ising(&logical, embedding, &self.topology, strength);
         // Split the reads across spin-reversal transforms; gauge 0 is
         // the identity so num_gauges = 1 preserves the plain behavior.
-        // Every gauge samples the job seed at its reads' global indices.
         let gauges = self.num_gauges.max(1);
-        let mut samples: Vec<AnnealSample> = restored;
-        let n_phys = self.topology.num_qubits();
-        let mut g_start = 0usize; // global index of this gauge's first read
+        let mut samplers = Vec::with_capacity(gauges);
+        let mut start = 0;
         for gi in 0..gauges {
-            let g_end = g_start + num_reads / gauges + usize::from(gi < num_reads % gauges);
-            // First read of this gauge still to draw.
-            let first = skip_reads.max(g_start);
-            if first >= g_end || cancel.is_cancelled() {
-                g_start = g_end;
+            let end = start + num_reads / gauges + usize::from(gi < num_reads % gauges);
+            if end > start {
+                let gauge = job_gauge(seed, gi, self.topology.num_qubits());
+                samplers.push(GaugeSampler::new(start..end, gauge, &embedded));
+            }
+            start = end;
+        }
+        AnnealJob { device: self, qubo, embedded, gauges: samplers, num_reads, seed }
+    }
+}
+
+/// One prepared annealer job on a fixed embedding (see
+/// [`AnnealerDevice::job`]).
+///
+/// Each read's RNG stream depends only on the job seed and the read's
+/// global index, so reads drawn in several ranges, in one process or
+/// across a crash and a resume, are exactly the reads of one
+/// uninterrupted draw.
+pub struct AnnealJob<'a> {
+    device: &'a AnnealerDevice,
+    qubo: &'a Qubo,
+    embedded: EmbeddedIsing,
+    gauges: Vec<GaugeSampler>,
+    num_reads: usize,
+    seed: u64,
+}
+
+/// One gauge's share of a job: its reads' global indices, its sampler,
+/// and the gauge to undo when reading a sample out.
+struct GaugeSampler {
+    reads: Range<usize>,
+    prepared: PreparedIsing,
+    /// Per physical qubit: its compact index, or `None` for a qubit
+    /// with no field or coupling, which reads +1.
+    index: Vec<Option<usize>>,
+    gauge: Gauge,
+}
+
+impl GaugeSampler {
+    fn new(reads: Range<usize>, gauge: Gauge, embedded: &EmbeddedIsing) -> Self {
+        let chains = embedded.embedding.chains();
+        let prepared = PreparedIsing::new(&gauge.apply(&embedded.physical), chains);
+        let mut index = vec![None; gauge.num_spins()];
+        for (ci, &q) in prepared.qubits().iter().enumerate() {
+            index[q] = Some(ci);
+        }
+        GaugeSampler { reads, prepared, index, gauge }
+    }
+
+    /// Qubit `q`'s value in the ungauged problem, read from a read's
+    /// compact `spins`: the physical sample [`Gauge::decode`] would
+    /// give, without building it.
+    fn bit(&self, spins: &[bool], q: usize) -> bool {
+        self.index[q].is_none_or(|ci| spins[ci]) != self.gauge.flips(q)
+    }
+}
+
+impl AnnealJob<'_> {
+    /// Draw the reads with global indices in `reads`, decoded, in index
+    /// order.
+    ///
+    /// The anneal sweep loops poll `cancel`, so a fired deadline
+    /// returns the reads completed so far (possibly none), each whole,
+    /// instead of running the range to the end.
+    pub fn sample(&self, reads: Range<usize>, cancel: &CancelToken) -> Vec<AnnealSample> {
+        let device = self.device;
+        let mut samples = Vec::with_capacity(reads.len());
+        for g in &self.gauges {
+            let range = reads.start.max(g.reads.start)..reads.end.min(g.reads.end);
+            if range.is_empty() || cancel.is_cancelled() {
                 continue;
             }
-            let gauge = job_gauge(seed, gi, n_phys);
-            let prepared = PreparedIsing::new(&gauge.apply(&embedded.physical), embedding.chains());
-            let compact = CompactReadout::new(&gauge, prepared.qubits());
             // Each read decodes in the worker that drew it.
             let readout = |spins: &[bool]| {
                 let (mut assignment, broken_chains) =
-                    embedded.unembed_with(|q| compact.bit(spins, q));
-                let mut energy = qubo.energy(&assignment);
-                if self.postprocess {
-                    let (polished, e, _) = crate::postprocess::steepest_descent(qubo, &assignment);
-                    assignment = polished;
-                    energy = e;
+                    self.embedded.unembed_with(|q| g.bit(spins, q));
+                let mut energy = self.qubo.energy(&assignment);
+                if device.postprocess {
+                    (assignment, energy, _) = steepest_descent(self.qubo, &assignment);
                 }
                 AnnealSample { assignment, energy, broken_chains }
             };
-            let step = if chunk == 0 { g_end - g_start } else { chunk };
-            let mut pos = first;
-            while pos < g_end {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                let hi = (pos + step).min(g_end);
-                let reads =
-                    prepared.sample_range(&self.sa, &self.noise, pos..hi, seed, cancel, &readout);
-                // Only a fully completed chunk is a safe resume point:
-                // a cancelled chunk may have dropped reads.
-                let complete = reads.len() == hi - pos && !cancel.is_cancelled();
-                samples.extend(reads);
-                if complete && chunk != 0 {
-                    on_progress(hi, &samples);
-                }
-                pos = hi;
-            }
-            g_start = g_end;
+            samples.extend(g.prepared.sample_range(
+                &device.sa,
+                &device.noise,
+                range,
+                self.seed,
+                cancel,
+                &readout,
+            ));
         }
-        samples.sort_by(|a, b| a.energy.partial_cmp(&b.energy).unwrap());
+        samples
+    }
+
+    /// The job's result from the `samples` drawn, sorted by energy. The
+    /// chain-break fraction is taken over the reads given; the QPU time
+    /// is the whole job's.
+    pub fn finish(&self, mut samples: Vec<AnnealSample>) -> AnnealResult {
+        samples.sort_by(|a, b| a.energy.partial_cmp(&b.energy).expect("energies are finite"));
+        let embedding = &self.embedded.embedding;
         let total_chains = embedding.num_logical().max(1) * samples.len().max(1);
         let broken: usize = samples.iter().map(|s| s.broken_chains).sum();
-        Ok(AnnealResult {
+        AnnealResult {
             physical_qubits: embedding.num_physical(),
             max_chain_length: embedding.max_chain_length(),
             chain_break_fraction: broken as f64 / total_chains as f64,
-            qpu_access_time: self.timing.qpu_access_time(num_reads),
-            embedding: embedding.clone(),
+            qpu_access_time: self.device.timing.qpu_access_time(self.num_reads),
             samples,
-        })
+        }
     }
 }
 
@@ -316,32 +364,6 @@ fn job_gauge(seed: u64, gi: usize, num_spins: usize) -> Gauge {
         Gauge::identity(num_spins)
     } else {
         Gauge::random(num_spins, derive_seed(seed, gi as u64, GAUGE_STRIDE))
-    }
-}
-
-/// Reads one gauge's compact readout as the physical sample that
-/// [`Gauge::decode`] would give, without building it: qubit by qubit,
-/// with the gauge undone.
-struct CompactReadout<'g> {
-    /// Per physical qubit: its compact index, or `None` for a qubit
-    /// with no field or coupling, which reads +1.
-    index: Vec<Option<usize>>,
-    gauge: &'g Gauge,
-}
-
-impl<'g> CompactReadout<'g> {
-    /// `active` lists the compact readout's qubits, ascending.
-    fn new(gauge: &'g Gauge, active: &[usize]) -> Self {
-        let mut index = vec![None; gauge.num_spins()];
-        for (ci, &q) in active.iter().enumerate() {
-            index[q] = Some(ci);
-        }
-        CompactReadout { index, gauge }
-    }
-
-    /// Qubit `q`'s value in the ungauged problem, read from `spins`.
-    fn bit(&self, spins: &[bool], q: usize) -> bool {
-        self.index[q].is_none_or(|ci| spins[ci]) != self.gauge.flips(q)
     }
 }
 
@@ -381,49 +403,26 @@ mod tests {
 
     #[test]
     fn resumable_sampling_matches_uninterrupted() {
-        // Multi-gauge device so resume points cross gauge boundaries.
+        // Three gauges split 17 reads at reads 6 and 12, so resume
+        // points fall inside a gauge and on its boundaries.
         let mut dev = AnnealerDevice::ideal(8);
         dev.num_gauges = 3;
         let qubo = edge_qubo();
-        let adj = qubo.adjacency();
-        let embedding = find_embedding(&adj, &dev.topology, 5, dev.embed_tries).unwrap();
+        let (embedding, _) = dev.embed(&qubo, 5, 0).unwrap();
         let cancel = CancelToken::never();
-        let full = dev.sample_qubo_embedded(&qubo, &embedding, 17, 9).unwrap();
-        for skip in [0usize, 1, 5, 6, 11, 16, 17] {
-            // Phase one: a run that checkpoints after every read; keep
-            // the checkpoint that covers exactly `skip` reads (what a
-            // crash right after that save would leave behind).
-            let mut gen_order: Vec<AnnealSample> = Vec::new();
-            dev.sample_qubo_embedded_resumable(
-                &qubo,
-                &embedding,
-                17,
-                9,
-                0,
-                Vec::new(),
-                1,
-                &cancel,
-                &mut |done, samples| {
-                    if done == skip {
-                        gen_order = samples.to_vec();
-                    }
-                },
-            )
-            .unwrap();
-            // Phase two: resume from `skip` with the restored prefix.
-            let resumed = dev
-                .sample_qubo_embedded_resumable(
-                    &qubo,
-                    &embedding,
-                    17,
-                    9,
-                    skip,
-                    gen_order,
-                    2,
-                    &cancel,
-                    &mut |_, _| {},
-                )
-                .unwrap();
+        let full = dev.sample_qubo_embedded(&qubo, &embedding, 17, 9);
+        // Chunk multiples (0, 4, 16), points off the chunk grid (1, 5,
+        // 11), the gauge boundaries (6, 12) and the end (17).
+        for skip in [0usize, 1, 4, 5, 6, 11, 12, 16, 17] {
+            // Phase one: the reads a run drew before it died at `skip`.
+            let mut samples = dev.job(&qubo, &embedding, 17, 9).sample(0..skip, &cancel);
+            // Phase two: a new job, as a resumed process builds it,
+            // draws the rest in chunks of four.
+            let job = dev.job(&qubo, &embedding, 17, 9);
+            for start in (skip..17).step_by(4) {
+                samples.extend(job.sample(start..(start + 4).min(17), &cancel));
+            }
+            let resumed = job.finish(samples);
             assert_eq!(resumed.samples.len(), full.samples.len(), "skip {skip}");
             for (a, b) in resumed.samples.iter().zip(full.samples.iter()) {
                 assert_eq!(a.assignment, b.assignment, "skip {skip}");
@@ -442,24 +441,13 @@ mod tests {
         let mut dev = AnnealerDevice::ideal(4);
         dev.chain_strength_scale = -1.0;
         let embedding = Embedding::from_chains(vec![vec![0, 1], vec![2]]);
+        let qubo = edge_qubo();
+        let job = dev.job(&qubo, &embedding, 40, 3);
         let cancel = CancelToken::never();
-        let r = dev
-            .sample_qubo_embedded_resumable(
-                &edge_qubo(),
-                &embedding,
-                40,
-                3,
-                0,
-                Vec::new(),
-                10,
-                &cancel,
-                &mut |done, _| {
-                    if done == 10 {
-                        cancel.cancel();
-                    }
-                },
-            )
-            .unwrap();
+        let mut samples = job.sample(0..10, &cancel);
+        cancel.cancel();
+        samples.extend(job.sample(10..40, &cancel));
+        let r = job.finish(samples);
         assert_eq!(r.samples.len(), 10);
         let broken: usize = r.samples.iter().map(|s| s.broken_chains).sum();
         assert_eq!(broken, 10);
@@ -484,10 +472,9 @@ mod tests {
             EmbeddedIsing { physical, embedding: embedding.clone(), chain_strength: 1.0 };
         for gauge_seed in 0..6 {
             let gauge = Gauge::random(9, gauge_seed);
-            let prepared = PreparedIsing::new(&gauge.apply(&embedded.physical), embedding.chains());
-            let active = prepared.qubits();
+            let compact = GaugeSampler::new(0..0, gauge.clone(), &embedded);
+            let active = compact.prepared.qubits();
             assert_eq!(active, &[0, 1, 2, 3, 5, 6]);
-            let compact = CompactReadout::new(&gauge, active);
             for bits in 0..1u32 << active.len() {
                 let spins: Vec<bool> = (0..active.len()).map(|i| bits >> i & 1 == 1).collect();
                 let mut raw = vec![true; 9];
@@ -521,23 +508,8 @@ mod tests {
         let reads = 8;
         let mut streams = std::collections::HashMap::new();
         for seed in 0..16u64 {
-            let mut drawn: Vec<AnnealSample> = Vec::new();
-            dev.sample_qubo_embedded_resumable(
-                &qubo,
-                &embedding,
-                reads,
-                seed,
-                0,
-                Vec::new(),
-                1,
-                &CancelToken::never(),
-                &mut |done, samples| {
-                    if done == reads {
-                        drawn = samples.to_vec();
-                    }
-                },
-            )
-            .unwrap();
+            let drawn =
+                dev.job(&qubo, &embedding, reads, seed).sample(0..reads, &CancelToken::never());
             assert_eq!(drawn.len(), reads);
             for (read, sample) in drawn.iter().enumerate() {
                 let gi = read / (reads / dev.num_gauges);

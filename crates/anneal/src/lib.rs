@@ -49,7 +49,9 @@ pub mod timing;
 pub mod topology;
 
 pub use chain::{embed_ising, suggested_chain_strength, EmbeddedIsing};
-pub use device::{AnnealError, AnnealResult, AnnealSample, AnnealerDevice};
+pub use device::{
+    AnnealError, AnnealJob, AnnealResult, AnnealSample, AnnealerDevice, EMBED_RESEED_TRIES,
+};
 pub use embed::{find_embedding, Embedding};
 pub use gauge::Gauge;
 pub use postprocess::steepest_descent;

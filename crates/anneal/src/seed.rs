@@ -3,8 +3,9 @@
 //! seeds, gauge masks, and the execution layer's attempt seeds and
 //! backoff jitter.
 
-/// The stride of the execution layer's attempt seeds: rip-up attempts of
-/// the annealer backend, supervisor retries and their backoff jitter.
+/// The stride of [`attempt_seed`]: the rip-up attempts of
+/// [`AnnealerDevice::embed`](crate::AnnealerDevice::embed), supervisor
+/// retries and their backoff jitter.
 pub const ATTEMPT_STRIDE: u64 = 0xe703_7ed1_a0b4_28db;
 /// The stride of the embedder's restart seeds.
 pub const TRY_STRIDE: u64 = 0xa076_1d64_78bd_642f;
@@ -34,6 +35,22 @@ pub fn derive_seed(seed: u64, index: u64, stride: u64) -> u64 {
     splitmix64(splitmix64(seed) ^ index.wrapping_mul(stride))
 }
 
+/// The seed for attempt `k` derived from `seed`: attempt 0 is the
+/// caller's seed unchanged (a fault-free supervised run reproduces the
+/// plain run bit-for-bit); every later attempt is stream `k` of
+/// [`derive_seed`] with [`ATTEMPT_STRIDE`], so attempt `k` of seed `s`
+/// never aliases attempt 0 of a related seed such as `s ^ k·stride`
+/// (the old linear mix did exactly that), nor, through a shared stride,
+/// a read stream of the same job seed. The supervisor's attempt seeds,
+/// its backoff jitter and the annealer's rip-up embedding attempts all
+/// derive through here.
+pub fn attempt_seed(seed: u64, k: u32) -> u64 {
+    if k == 0 {
+        return seed;
+    }
+    derive_seed(seed, u64::from(k), ATTEMPT_STRIDE)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,6 +64,36 @@ mod tests {
             assert_eq!(a % 2, 1, "stride {i} is even");
             for b in &strides[i + 1..] {
                 assert_ne!(a, b);
+            }
+        }
+    }
+
+    /// Regression for the linear `seed ^ k·stride` mix: attempt `k` of
+    /// seed `s` equalled attempt 0 of seed `s ^ k·stride`. The backoff
+    /// jitter is `splitmix64` (a bijection) of the attempt seed, so it
+    /// aliased with it and cannot now.
+    #[test]
+    fn attempts_never_alias_attempt_zero_of_a_related_seed() {
+        for s in (0..64u64).chain([u64::MAX, ATTEMPT_STRIDE, 1 << 63]) {
+            assert_eq!(attempt_seed(s, 0), s, "attempt 0 must keep the caller's seed");
+            for k in 1..16u32 {
+                let related = s ^ u64::from(k).wrapping_mul(ATTEMPT_STRIDE);
+                assert_ne!(attempt_seed(s, k), attempt_seed(related, 0), "seed {s} attempt {k}");
+            }
+        }
+    }
+
+    /// Regression for the shared stride: attempt `k` of job seed `s`
+    /// was read `k − 1`'s RNG seed, so the rip-up attempt's embedder
+    /// drew the same stream as the job's first reads.
+    #[test]
+    fn attempts_never_share_a_read_stream() {
+        for s in (0..64u64).chain([u64::MAX, READ_STRIDE, 1 << 63]) {
+            for k in 1..16u32 {
+                for read in 1..=16 {
+                    let stream = derive_seed(s, read, READ_STRIDE);
+                    assert_ne!(attempt_seed(s, k), stream, "seed {s} attempt {k} read {read}");
+                }
             }
         }
     }

@@ -9,25 +9,9 @@
 //! with the same seed must schedule the same backoffs, so chaos-suite
 //! failures replay exactly.
 
-use nck_anneal::seed::{derive_seed, splitmix64, ATTEMPT_STRIDE};
+use nck_anneal::seed::{attempt_seed, splitmix64};
 use nck_cancel::CancelToken;
 use std::time::Duration;
-
-/// The seed for attempt `k` derived from `seed`: attempt 0 is the
-/// caller's seed unchanged (a fault-free supervised run reproduces the
-/// plain run bit-for-bit); every later attempt is stream `k` of
-/// [`derive_seed`] with [`ATTEMPT_STRIDE`], so attempt `k` of seed `s`
-/// never aliases attempt 0 of a related seed such as `s ^ k·stride`
-/// (the old linear mix did exactly that), nor, through a shared stride,
-/// a read stream of the same job seed. The supervisor's attempt seeds,
-/// the backoff jitter and the annealer backend's rip-up attempts all
-/// derive through here.
-pub(crate) fn attempt_seed(seed: u64, k: u32) -> u64 {
-    if k == 0 {
-        return seed;
-    }
-    derive_seed(seed, u64::from(k), ATTEMPT_STRIDE)
-}
 
 /// The cost envelope of one supervised run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,49 +126,5 @@ mod tests {
         }
         let q = RetryPolicy { seed: 43, ..p };
         assert_ne!(p.delay(0), q.delay(0), "different seeds must jitter differently");
-    }
-
-    /// Regression for the linear `seed ^ k·stride` mix: attempt `k` of
-    /// seed `s` equalled attempt 0 of seed `s ^ k·stride`, in the
-    /// supervisor's attempt seeds and in the backoff jitter alike.
-    #[test]
-    fn attempts_never_alias_attempt_zero_of_a_related_seed() {
-        // base == cap: every delay is `cap · (1 − u_k)`, so equal
-        // delays mean equal jitter draws.
-        let policy = |seed| RetryPolicy {
-            base: Duration::from_secs(1),
-            cap: Duration::from_secs(1),
-            jitter: 1.0,
-            seed,
-            ..RetryPolicy::default()
-        };
-        for s in (0..64u64).chain([u64::MAX, ATTEMPT_STRIDE, 1 << 63]) {
-            assert_eq!(attempt_seed(s, 0), s, "attempt 0 must keep the caller's seed");
-            for k in 1..16u32 {
-                let related = s ^ u64::from(k).wrapping_mul(ATTEMPT_STRIDE);
-                assert_ne!(attempt_seed(s, k), attempt_seed(related, 0), "seed {s} attempt {k}");
-                assert_ne!(
-                    policy(s).delay(k),
-                    policy(related).delay(0),
-                    "backoff jitter of seed {s} retry {k}"
-                );
-            }
-        }
-    }
-
-    /// Regression for the shared stride: attempt `k` of job seed `s`
-    /// was read `k − 1`'s RNG seed, so the rip-up attempt's embedder
-    /// drew the same stream as the job's first reads.
-    #[test]
-    fn attempts_never_share_a_read_stream() {
-        use nck_anneal::seed::READ_STRIDE;
-        for s in (0..64u64).chain([u64::MAX, READ_STRIDE, 1 << 63]) {
-            for k in 1..16u32 {
-                for read in 1..=16 {
-                    let stream = derive_seed(s, read, READ_STRIDE);
-                    assert_ne!(attempt_seed(s, k), stream, "seed {s} attempt {k} read {read}");
-                }
-            }
-        }
     }
 }

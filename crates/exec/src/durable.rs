@@ -644,10 +644,11 @@ pub struct GroverProgress {
     pub success_probability: f64,
 }
 
-// The annealer checkpoints `(reads_done, samples)`: reads completed
-// plus every decoded sample so far, in generation order. The QAOA
-// backend checkpoints its Nelder–Mead state, the classical backend its
-// branch-and-bound incumbent, the Grover backend its BBHT position.
+// The annealer checkpoints each chunk of reads as `(end, samples)`:
+// the index one past its last read, and that chunk's decoded samples in
+// read order. The QAOA backend checkpoints its Nelder–Mead state, the
+// classical backend its branch-and-bound incumbent, the Grover backend
+// its BBHT position.
 wire_fields!(AnnealSample { assignment, energy, broken_chains });
 wire_fields!(NmState { evaluations, iterations, simplex });
 wire_fields!(Incumbent { assignment, soft_satisfied, soft_weight, violated_weight });

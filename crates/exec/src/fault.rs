@@ -31,12 +31,11 @@ use std::time::Duration;
 pub struct FaultInjection {
     /// Treat this many leading heuristic embedding attempts as failed,
     /// as if the rip-up embedder could not fit the problem. Values in
-    /// `1..=`[`EMBED_RESEED_TRIES`](crate::backends::annealer::EMBED_RESEED_TRIES)
-    /// exercise the reseed retry; larger
-    /// values exhaust every heuristic attempt and force the
-    /// clique-embedding fallback (or a typed
+    /// `1..=`[`EMBED_RESEED_TRIES`](nck_anneal::EMBED_RESEED_TRIES)
+    /// exercise the reseed retry; larger values exhaust every heuristic
+    /// attempt and force the clique-embedding fallback, or a typed
     /// [`EmbeddingFailed`](nck_anneal::AnnealError::EmbeddingFailed)
-    /// when no fallback is configured).
+    /// on a topology without one.
     pub embed_failures: u32,
     /// Report a state-vector overflow
     /// ([`TooLargeToSimulate`](nck_circuit::QaoaError::TooLargeToSimulate))

@@ -53,12 +53,13 @@
 
 use crate::backend::Backend;
 use crate::breaker::Admission;
-use crate::budget::{attempt_seed, RetryPolicy, RunBudget};
+use crate::budget::{RetryPolicy, RunBudget};
 use crate::durable::{DurableRun, Record, RecoveredRun, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::error::{ExecError, FailedAttempt};
 use crate::journal::{Checkpointer, JournalEvent, JournalKind, RunCtx, RunJournal};
 use crate::plan::{ExecReport, ExecutionPlan};
 use crate::stage::StageOutcome;
+use nck_anneal::seed::attempt_seed;
 use nck_cancel::CancelToken;
 use nck_store::{Recovered, RunStore};
 use std::fmt;

@@ -64,8 +64,8 @@ fn embedding_reuse_matches_fresh_embedding() {
     let device = AnnealerDevice::advantage_4_1();
     let adj = compiled.qubo.adjacency();
     let embedding = find_embedding(&adj, &device.topology, 7, 5).expect("embeds");
-    let a = device.sample_qubo_embedded(&compiled.qubo, &embedding, 30, 11).unwrap();
-    let b = device.sample_qubo_embedded(&compiled.qubo, &embedding, 30, 11).unwrap();
+    let a = device.sample_qubo_embedded(&compiled.qubo, &embedding, 30, 11);
+    let b = device.sample_qubo_embedded(&compiled.qubo, &embedding, 30, 11);
     assert_eq!(a.physical_qubits, b.physical_qubits);
     assert_eq!(a.best().energy, b.best().energy, "reuse must be deterministic");
 }
