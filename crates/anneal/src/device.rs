@@ -101,6 +101,17 @@ impl AnnealResult {
     }
 }
 
+/// An embedding found by [`AnnealerDevice::embed`].
+#[derive(Clone, Debug)]
+pub struct EmbedOutcome {
+    /// The embedding.
+    pub embedding: Embedding,
+    /// Heuristic attempts that failed, skipped ones included.
+    pub failed_attempts: u32,
+    /// The heuristic's failure when the clique embedding rescued it.
+    pub rescued: Option<AnnealError>,
+}
+
 /// A simulated annealing device.
 #[derive(Clone, Debug)]
 pub struct AnnealerDevice {
@@ -160,35 +171,29 @@ impl AnnealerDevice {
     /// `seed`, then at up to [`EMBED_RESEED_TRIES`] fresh rip-up seeds
     /// (attempt `k` at [`attempt_seed`]`(seed, k)`), each with
     /// `embed_tries` restarts, and then the topology's clique embedding.
-    /// The first `skip_attempts` attempts count as failed without
-    /// running (fault injection). Returns the embedding and how many
-    /// attempts before it failed: `EMBED_RESEED_TRIES + 1` means the
-    /// clique embedding was taken.
-    pub fn embed(
-        &self,
-        qubo: &Qubo,
-        seed: u64,
-        skip_attempts: u32,
-    ) -> Result<(Embedding, u32), AnnealError> {
+    /// The first `skip` attempts count as failed without running
+    /// (fault injection).
+    pub fn embed(&self, qubo: &Qubo, seed: u64, skip: u32) -> Result<EmbedOutcome, AnnealError> {
         let adj = qubo.adjacency();
-        for attempt in skip_attempts..=EMBED_RESEED_TRIES {
+        for attempt in skip..=EMBED_RESEED_TRIES {
             let rip_up_seed = attempt_seed(seed, attempt);
             if let Some(embedding) =
                 find_embedding(&adj, &self.topology, rip_up_seed, self.embed_tries)
             {
-                return Ok((embedding, attempt));
+                return Ok(EmbedOutcome { embedding, failed_attempts: attempt, rescued: None });
             }
         }
         // Dense problems can defeat the heuristic; the clique embedding
         // hosts any minor of K_n directly.
-        let embedding = self.topology.clique_embedding(qubo.num_vars()).ok_or(
-            AnnealError::EmbeddingFailed {
-                logical_vars: qubo.num_vars(),
-                device_qubits: self.topology.num_qubits(),
-            },
-        )?;
+        let failed = AnnealError::EmbeddingFailed {
+            logical_vars: qubo.num_vars(),
+            device_qubits: self.topology.num_qubits(),
+        };
+        let embedding =
+            self.topology.clique_embedding(qubo.num_vars()).ok_or_else(|| failed.clone())?;
         debug_assert!(embedding.is_valid(&adj, &self.topology));
-        Ok((embedding, EMBED_RESEED_TRIES + 1))
+        let failed_attempts = EMBED_RESEED_TRIES + 1;
+        Ok(EmbedOutcome { embedding, failed_attempts, rescued: Some(failed) })
     }
 
     /// Run one job of `num_reads` samples on `qubo`, finding a fresh
@@ -199,7 +204,7 @@ impl AnnealerDevice {
         num_reads: usize,
         seed: u64,
     ) -> Result<AnnealResult, AnnealError> {
-        let (embedding, _) = self.embed(qubo, seed, 0)?;
+        let embedding = self.embed(qubo, seed, 0)?.embedding;
         Ok(self.sample_qubo_embedded(qubo, &embedding, num_reads, seed))
     }
 
@@ -301,6 +306,11 @@ impl GaugeSampler {
 }
 
 impl AnnealJob<'_> {
+    /// The job seed every read stream and gauge mask derives from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
     /// Draw the reads with global indices in `reads`, decoded, in index
     /// order.
     ///
@@ -408,7 +418,7 @@ mod tests {
         let mut dev = AnnealerDevice::ideal(8);
         dev.num_gauges = 3;
         let qubo = edge_qubo();
-        let (embedding, _) = dev.embed(&qubo, 5, 0).unwrap();
+        let embedding = dev.embed(&qubo, 5, 0).unwrap().embedding;
         let cancel = CancelToken::never();
         let full = dev.sample_qubo_embedded(&qubo, &embedding, 17, 9);
         // Chunk multiples (0, 4, 16), points off the chunk grid (1, 5,

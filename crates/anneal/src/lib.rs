@@ -50,7 +50,8 @@ pub mod topology;
 
 pub use chain::{embed_ising, suggested_chain_strength, EmbeddedIsing};
 pub use device::{
-    AnnealError, AnnealJob, AnnealResult, AnnealSample, AnnealerDevice, EMBED_RESEED_TRIES,
+    AnnealError, AnnealJob, AnnealResult, AnnealSample, AnnealerDevice, EmbedOutcome,
+    EMBED_RESEED_TRIES,
 };
 pub use embed::{find_embedding, Embedding};
 pub use gauge::Gauge;

@@ -69,9 +69,9 @@ mod tests {
     }
 
     /// Regression for the linear `seed ^ k·stride` mix: attempt `k` of
-    /// seed `s` equalled attempt 0 of seed `s ^ k·stride`. The backoff
-    /// jitter is `splitmix64` (a bijection) of the attempt seed, so it
-    /// aliased with it and cannot now.
+    /// seed `s` equalled attempt 0 of seed `s ^ k·stride`. The execution
+    /// layer's backoff jitter derives from these seeds and checks the
+    /// same property of its delays in its own tests.
     #[test]
     fn attempts_never_alias_attempt_zero_of_a_related_seed() {
         for s in (0..64u64).chain([u64::MAX, ATTEMPT_STRIDE, 1 << 63]) {

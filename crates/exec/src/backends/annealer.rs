@@ -5,9 +5,7 @@ use crate::backend::{Backend, BackendMetrics, Candidates, Prepared};
 use crate::error::{ExecError, FaultKind};
 use crate::fault::FaultInjection;
 use crate::journal::{JournalKind, RunCtx};
-use nck_anneal::{
-    AnnealError, AnnealJob, AnnealSample, AnnealerDevice, Embedding, EMBED_RESEED_TRIES,
-};
+use nck_anneal::{AnnealJob, AnnealSample, AnnealerDevice, Embedding};
 use nck_qubo::Qubo;
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -58,8 +56,7 @@ impl AnnealerBackend {
     fn fingerprint(qubo: &Qubo) -> u64 {
         let mut h = DefaultHasher::new();
         qubo.num_vars().hash(&mut h);
-        for neighbors in qubo.adjacency() {
-            let mut ns = neighbors;
+        for mut ns in qubo.adjacency() {
             ns.sort_unstable();
             ns.hash(&mut h);
         }
@@ -80,22 +77,17 @@ impl AnnealerBackend {
         if ctx.cancel.is_cancelled() {
             return Err(ExecError::Cancelled { backend: ctx.backend, stage: ctx.stage });
         }
-        let (embedding, failed_attempts) =
-            self.device.embed(qubo, seed, self.faults.embed_failures)?;
-        ctx.stages.embed_retries += failed_attempts;
-        if failed_attempts > EMBED_RESEED_TRIES {
-            // The heuristic embedder failed every attempt; the clique
-            // fallback rescued the run. Keep the suppressed error's
-            // provenance in the journal.
-            ctx.note_suppressed(ExecError::Anneal(AnnealError::EmbeddingFailed {
-                logical_vars: qubo.num_vars(),
-                device_qubits: self.device.topology.num_qubits(),
-            }));
+        let found = self.device.embed(qubo, seed, self.faults.embed_failures)?;
+        ctx.stages.embed_retries += found.failed_attempts;
+        if let Some(rescued) = found.rescued {
+            // The clique fallback rescued the run. Keep the suppressed
+            // error's provenance in the journal.
+            ctx.note_suppressed(ExecError::Anneal(rescued));
             ctx.note(JournalKind::FallbackTaken { what: "clique embedding" });
             ctx.stages.fallbacks += 1;
         }
-        *cached = Some((fp, embedding.clone()));
-        Ok(embedding)
+        *cached = Some((fp, found.embedding.clone()));
+        Ok(found.embedding)
     }
 
     /// Draw all of `job`'s reads in chunks of `ctx.ckpt.interval()`
@@ -104,10 +96,10 @@ impl AnnealerBackend {
     /// once and a crash loses at most one chunk; a resumed job first
     /// restores the contiguous chunks saved before the crash. The job
     /// seed in the tag keeps one attempt's chunks out of another's job.
-    fn sample(&self, job: &AnnealJob<'_>, seed: u64, ctx: &RunCtx) -> Vec<AnnealSample> {
+    fn sample(&self, job: &AnnealJob<'_>, ctx: &RunCtx) -> Vec<AnnealSample> {
         let (n, interval) = (self.num_reads, ctx.ckpt.interval() as usize);
         let step = if interval == 0 { n.max(1) } else { interval };
-        let tag = |start: usize| format!("annealer/{seed:016x}/{start}");
+        let tag = |start: usize| format!("annealer/{:016x}/{start}", job.seed());
         let mut samples = Vec::with_capacity(n);
         while let Some((end, chunk)) =
             ctx.restore::<(usize, Vec<AnnealSample>)>(&tag(samples.len()))
@@ -166,7 +158,7 @@ impl Backend for AnnealerBackend {
         }
         let t = Instant::now();
         let job = self.device.job(qubo, &embedding, self.num_reads, seed);
-        let result = job.finish(self.sample(&job, seed, ctx));
+        let result = job.finish(self.sample(&job, ctx));
         ctx.stages.sample = t.elapsed();
         if ctx.cancel.is_cancelled() {
             if result.samples.is_empty() {
@@ -276,7 +268,7 @@ mod tests {
         // The job's 256 samples, drawn in one range.
         let plan = ExecutionPlan::new(&program);
         let qubo = &plan.compiled().unwrap().qubo;
-        let (embedding, _) = backend.device.embed(qubo, 11, 0).unwrap();
+        let embedding = backend.device.embed(qubo, 11, 0).unwrap().embedding;
         let job = backend.device.job(qubo, &embedding, 256, 11);
         let drawn = job.sample(0..256, &CancelToken::never());
         let once = encode(&(drawn.len(), Cow::Borrowed(&drawn[..]))).len();
@@ -348,7 +340,7 @@ mod tests {
             if seed == 12 {
                 assert!(ctx.stages.embed_retries > 0, "seed 12 must reseed");
             }
-            assert_eq!(device.embed(&qubo, seed, 0).unwrap().0, embedding);
+            assert_eq!(device.embed(&qubo, seed, 0).unwrap().embedding, embedding);
             let fresh = device.sample_qubo(&qubo, 30, seed).unwrap();
             let fixed = device.sample_qubo_embedded(&qubo, &embedding, 30, seed);
             assert_eq!(fresh.physical_qubits, fixed.physical_qubits, "seed {seed}");

@@ -46,10 +46,7 @@ impl RunBudget {
     /// A cancellation token armed with this budget's deadline (a
     /// never-firing token when unbounded).
     pub fn token(&self) -> CancelToken {
-        match self.deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::never(),
-        }
+        self.deadline.map_or_else(CancelToken::never, CancelToken::with_deadline)
     }
 }
 
@@ -126,5 +123,32 @@ mod tests {
         }
         let q = RetryPolicy { seed: 43, ..p };
         assert_ne!(p.delay(0), q.delay(0), "different seeds must jitter differently");
+    }
+
+    /// Regression for the linear `seed ^ k·stride` mix in the backoff
+    /// jitter: retry `k` of seed `s` drew the same jitter as retry 0 of
+    /// seed `s ^ k·stride`.
+    #[test]
+    fn delays_never_alias_delay_zero_of_a_related_seed() {
+        use nck_anneal::seed::ATTEMPT_STRIDE;
+        // base == cap: every delay is `cap · (1 − u_k)`, so equal
+        // delays mean equal jitter draws.
+        let policy = |seed| RetryPolicy {
+            base: Duration::from_secs(1),
+            cap: Duration::from_secs(1),
+            jitter: 1.0,
+            seed,
+            ..RetryPolicy::default()
+        };
+        for s in (0..64u64).chain([u64::MAX, ATTEMPT_STRIDE, 1 << 63]) {
+            for k in 1..16u32 {
+                let related = s ^ u64::from(k).wrapping_mul(ATTEMPT_STRIDE);
+                assert_ne!(
+                    policy(s).delay(k),
+                    policy(related).delay(0),
+                    "backoff jitter of seed {s} retry {k}"
+                );
+            }
+        }
     }
 }
