@@ -26,19 +26,24 @@ fn main() {
     let backend = ClassicalBackend::default();
     let mut rows = Vec::new();
     let mut series: Vec<(f64, f64)> = Vec::new();
-    for n in [8usize, 16, 24, 32, 48, 64] {
+    for n in [8usize, 16, 24, 32, 40, 48, 56, 64] {
         let g = Graph::circulant(n, 4);
         let program = MinVertexCover::new(g).program();
         let plan = ExecutionPlan::new(&program);
         let mut times = Vec::new();
         let mut cover_size = 0usize;
+        let mut nodes = 0u64;
         for run in 0..30u64 {
             // The solve wall-time is the pipeline's sample stage; the
             // one-time QUBO compile is cached and not counted.
             let report = plan.run(&backend, run).unwrap();
             times.push(report.timings.sample.as_secs_f64() * 1e3);
-            if let BackendMetrics::Classical { truncated, .. } = report.metrics {
+            if let BackendMetrics::Classical { nodes: run_nodes, truncated, .. } = report.metrics {
                 assert!(!truncated);
+                // The search is deterministic: every run explores the
+                // same tree.
+                assert!(run == 0 || run_nodes == nodes);
+                nodes = run_nodes;
             }
             cover_size = report.assignment.iter().filter(|&&b| b).count();
         }
@@ -46,9 +51,15 @@ fn main() {
         let sd =
             (times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64).sqrt();
         series.push((n as f64, mean));
-        rows.push(vec![n.to_string(), cover_size.to_string(), fmt_f(mean, 2), fmt_f(sd, 2)]);
+        rows.push(vec![
+            n.to_string(),
+            cover_size.to_string(),
+            nodes.to_string(),
+            fmt_f(mean, 2),
+            fmt_f(sd, 2),
+        ]);
     }
-    print_table(&["vertices", "min cover", "mean (ms)", "sd (ms)"], &rows);
+    print_table(&["vertices", "min cover", "nodes", "mean (ms)", "sd (ms)"], &rows);
 
     // Log-log slope ≈ polynomial order of growth.
     let k = series.len();

@@ -5,9 +5,37 @@
 //! translation — and the oracle that determines the maximum number of
 //! satisfiable soft constraints for Definition 8 classification.
 //!
-//! The search is DPLL-style: assign variables one at a time, propagate
-//! forced values through hard cardinality constraints, and
-//! branch-and-bound on the number of violated soft constraints.
+//! The search is DPLL-style: assign variables one at a time in a static
+//! order, propagate forced values through hard cardinality constraints,
+//! and branch-and-bound on the violated soft weight. A node is pruned
+//! when the weight already violated plus a lower bound on the weight
+//! still to be violated reaches the incumbent's. Two admissible bounds
+//! price the *prefer-false* soft constraints (`nck({v}, {0})`, the
+//! minimization pattern of vertex and set cover), and the larger wins:
+//!
+//! * the **group bound** — the lower-bound idea of MaxSAT branch and
+//!   bound (Li, Manyà & Planes, "Exploiting unit propagation to compute
+//!   lower bounds in branch and bound Max-SAT solvers", CP 2005). The
+//!   prefer-false variables are partitioned once per solve into
+//!   disjoint groups of at most three, grown along hard constraints so
+//!   that each group holds as many hard constraints wholly inside it as
+//!   it can (on a circulant(n, 4) vertex cover the groups are
+//!   triangles). Each group tabulates the cheapest prefer-false cost of
+//!   its `2^k` assignments that satisfy its inner hard constraints; at a
+//!   node, each group charges its cheapest entry that agrees with the
+//!   partial assignment, less what its TRUE members already paid;
+//! * the **matching bound** — every open hard constraint that still
+//!   needs TRUE members, among disjoint greedily chosen ones, charges
+//!   its cheapest member per needed TRUE. It helps where hard
+//!   constraints are wider than a group.
+//!
+//! Both bounds are admissible, so they cut only subtrees with no
+//! strictly better leaf: the incumbent sequence and the answer are the
+//! same as an unbounded search's; only the node count moves. The static
+//! branching order follows the variable labels among equally
+//! constrained variables, so node counts depend on the labelling — a
+//! randomly relabelled circulant(64, 4) still takes hundreds of
+//! thousands of nodes.
 
 use nck_cancel::CancelToken;
 use nck_core::{Constraint, Program};
@@ -17,6 +45,9 @@ use std::time::{Duration, Instant};
 /// polls. Polling costs an atomic load plus (with a deadline) an
 /// `Instant::now()`, so it is amortized over a block of nodes.
 const CANCEL_POLL_NODES: u64 = 64;
+
+/// Largest group the group bound tabulates (`2^3` entries per group).
+const GROUP_MAX: usize = 3;
 
 /// Solver options.
 #[derive(Clone, Copy, Debug)]
@@ -75,6 +106,18 @@ enum Status {
     Violated,
 }
 
+/// A group of the group bound: up to [`GROUP_MAX`] prefer-false
+/// variables and the table of their joint assignments.
+struct Group {
+    /// Members; only the first `len` are used.
+    vars: [usize; GROUP_MAX],
+    len: usize,
+    /// Per mask over `vars` (bit `i` set = `vars[i]` TRUE): the mask's
+    /// prefer-false cost if it satisfies every hard constraint wholly
+    /// inside the group, else `u64::MAX`.
+    table: [u64; 1 << GROUP_MAX],
+}
+
 struct Ctx<'a> {
     program: &'a Program,
     /// Per constraint: (distinct var index, multiplicity) pairs.
@@ -89,9 +132,12 @@ struct Ctx<'a> {
     /// [`CANCEL_POLL_NODES`] decision nodes.
     cancel: &'a CancelToken,
     /// Per var: total weight of singleton soft constraints violated by
-    /// TRUE (the minimization pattern `nck({v},{0},soft)`); fuels the
-    /// matching lower bound. Zero when the var has none.
+    /// TRUE (the minimization pattern `nck({v},{0},soft)`); fuels both
+    /// lower bounds. Zero when the var has none.
     prefer_false: Vec<u64>,
+    /// The group bound's groups; only those with at least one inner
+    /// hard constraint (the others never charge anything).
+    groups: Vec<Group>,
     opts: SolverOptions,
 }
 
@@ -107,6 +153,14 @@ struct State {
     best_violations: u64,
     best: Option<(Vec<bool>, usize, u64)>,
     stats: SolveStats,
+    /// Undo records of every open branch, innermost last.
+    trail: Vec<TrailEntry>,
+    /// Variables assigned by every open branch, innermost last.
+    undo_vars: Vec<usize>,
+    /// Propagation work list (empty between calls).
+    queue: Vec<usize>,
+    /// Per var: already charged by the matching bound at this node.
+    used: Vec<bool>,
 }
 
 /// One undo record: a constraint's previous bookkeeping.
@@ -164,60 +218,17 @@ pub fn solve_resumable(
 ) -> (SolveOutcome, SolveStats) {
     let start = Instant::now();
     let n = program.num_vars();
-    let constraints = program.constraints();
-    let members: Vec<Vec<(usize, u32)>> = constraints
-        .iter()
-        .map(|c| c.multiplicities().into_iter().map(|(v, m)| (v.index(), m)).collect())
-        .collect();
-    let mut by_var: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for (ci, mem) in members.iter().enumerate() {
-        for &(v, m) in mem {
-            by_var[v].push((ci, m));
-        }
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(by_var[v].len()));
-    let mut prefer_false = vec![0u64; n];
-    for c in constraints {
-        if !c.is_hard() {
-            let m = c.multiplicities();
-            if let [(v, mult)] = m.as_slice() {
-                // Violated as soon as the variable is TRUE.
-                if !c.selection().contains(mult) && c.selection().contains(&0) {
-                    prefer_false[v.index()] += c.weight() as u64;
-                }
-            }
-        }
-    }
-    let ctx = Ctx {
-        program,
-        hard: constraints.iter().map(Constraint::is_hard).collect(),
-        members,
-        by_var,
-        order,
-        prefer_false,
-        cancel,
-        opts: *opts,
-    };
+    let ctx = Ctx::new(program, opts, cancel);
     let (best, best_violations) = match restored {
         Some(inc) if inc.assignment.len() == n => {
             ((Some((inc.assignment, inc.soft_satisfied, inc.soft_weight))), inc.violated_weight)
         }
         _ => (None, u64::MAX),
     };
-    let mut state = State {
-        assigned: vec![None; n],
-        count: vec![0; constraints.len()],
-        remaining: constraints.iter().map(|c| c.cardinality()).collect(),
-        status: vec![Status::Open; constraints.len()],
-        violated_soft: 0,
-        best_violations,
-        best,
-        stats: SolveStats::default(),
-    };
+    let mut state = State::new(program, best, best_violations);
     // Initial status scan: constraints may be decided before any
     // assignment (tautological or unsatisfiable selection sets).
-    for ci in 0..constraints.len() {
+    for ci in 0..program.constraints().len() {
         refresh_status(&ctx, &mut state, ci);
         if state.status[ci] == Status::Violated && ctx.hard[ci] {
             state.stats.elapsed = start.elapsed();
@@ -243,6 +254,161 @@ pub fn max_soft_satisfiable(program: &Program) -> Option<u64> {
     match solve(program, &SolverOptions::default()).0 {
         SolveOutcome::Solved { soft_weight, .. } => Some(soft_weight),
         SolveOutcome::Unsatisfiable => None,
+    }
+}
+
+impl<'a> Ctx<'a> {
+    fn new(program: &'a Program, opts: &SolverOptions, cancel: &'a CancelToken) -> Self {
+        let n = program.num_vars();
+        let constraints = program.constraints();
+        let members: Vec<Vec<(usize, u32)>> = constraints
+            .iter()
+            .map(|c| c.multiplicities().into_iter().map(|(v, m)| (v.index(), m)).collect())
+            .collect();
+        let mut by_var: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+        for (ci, mem) in members.iter().enumerate() {
+            for &(v, m) in mem {
+                by_var[v].push((ci, m));
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| std::cmp::Reverse(by_var[v].len()));
+        let mut prefer_false = vec![0u64; n];
+        for (c, mem) in constraints.iter().zip(&members) {
+            if let [(v, mult)] = mem.as_slice() {
+                // Violated as soon as the variable is TRUE.
+                if !c.is_hard() && !c.selection().contains(mult) && c.selection().contains(&0) {
+                    prefer_false[*v] += c.weight() as u64;
+                }
+            }
+        }
+        let mut ctx = Ctx {
+            program,
+            hard: constraints.iter().map(Constraint::is_hard).collect(),
+            members,
+            by_var,
+            order,
+            prefer_false,
+            groups: Vec::new(),
+            cancel,
+            opts: *opts,
+        };
+        ctx.groups = ctx.build_groups();
+        ctx
+    }
+
+    /// Is hard constraint `ci` wholly inside `group` once `extra` joins
+    /// it?
+    fn inside(&self, ci: usize, group: &[usize], extra: usize) -> bool {
+        self.members[ci].iter().all(|&(w, _)| w == extra || group.contains(&w))
+    }
+
+    /// Partition the prefer-false variables greedily into the group
+    /// bound's groups: from each ungrouped seed, in index order, add the
+    /// hard-constraint neighbour that completes the most hard
+    /// constraints inside the group (ties to the lowest index), while
+    /// one completes any.
+    fn build_groups(&self) -> Vec<Group> {
+        let mut grouped: Vec<bool> = self.prefer_false.iter().map(|&w| w == 0).collect();
+        let mut groups = Vec::new();
+        for seed in 0..grouped.len() {
+            if grouped[seed] {
+                continue;
+            }
+            grouped[seed] = true;
+            let mut vars = [seed; GROUP_MAX];
+            let mut len = 1;
+            while len < GROUP_MAX {
+                let group = &vars[..len];
+                // (hard constraints completed, candidate), best so far.
+                let mut best: Option<(usize, usize)> = None;
+                for &v in group {
+                    for &(ci, _) in &self.by_var[v] {
+                        if !self.hard[ci] {
+                            continue;
+                        }
+                        for &(u, _) in &self.members[ci] {
+                            if grouped[u] {
+                                continue;
+                            }
+                            let completed = self.by_var[u]
+                                .iter()
+                                .filter(|&&(cj, _)| self.hard[cj] && self.inside(cj, group, u))
+                                .count();
+                            if completed > 0
+                                && best.is_none_or(|(b, bu)| {
+                                    completed > b || (completed == b && u < bu)
+                                })
+                            {
+                                best = Some((completed, u));
+                            }
+                        }
+                    }
+                }
+                let Some((_, u)) = best else { break };
+                grouped[u] = true;
+                vars[len] = u;
+                len += 1;
+            }
+            // Only a group with an inner hard constraint ever charges;
+            // a lone variable may still carry a unit one.
+            let group = &vars[..len];
+            let inner = group.iter().any(|&v| {
+                self.by_var[v].iter().any(|&(ci, _)| self.hard[ci] && self.inside(ci, group, v))
+            });
+            if inner {
+                groups.push(self.tabulate(vars, len));
+            }
+        }
+        groups
+    }
+
+    /// The table of a group's `2^len` masks.
+    fn tabulate(&self, vars: [usize; GROUP_MAX], len: usize) -> Group {
+        let group = &vars[..len];
+        let mut table = [u64::MAX; 1 << GROUP_MAX];
+        for (mask, entry) in table.iter_mut().enumerate().take(1 << len) {
+            let is_true =
+                |w: usize| group.iter().position(|&g| g == w).is_some_and(|i| mask >> i & 1 == 1);
+            let feasible = group.iter().all(|&v| {
+                self.by_var[v].iter().all(|&(ci, _)| {
+                    if !self.hard[ci] || !self.inside(ci, group, v) {
+                        return true;
+                    }
+                    let count: u32 = self.members[ci]
+                        .iter()
+                        .filter(|&&(w, _)| is_true(w))
+                        .map(|&(_, m)| m)
+                        .sum();
+                    self.program.constraints()[ci].selection().contains(&count)
+                })
+            });
+            if feasible {
+                *entry = group.iter().filter(|&&v| is_true(v)).map(|&v| self.prefer_false[v]).sum();
+            }
+        }
+        Group { vars, len, table }
+    }
+}
+
+impl State {
+    fn new(program: &Program, best: Option<(Vec<bool>, usize, u64)>, best_violations: u64) -> Self {
+        let n = program.num_vars();
+        let constraints = program.constraints();
+        State {
+            assigned: vec![None; n],
+            count: vec![0; constraints.len()],
+            remaining: constraints.iter().map(|c| c.cardinality()).collect(),
+            status: vec![Status::Open; constraints.len()],
+            violated_soft: 0,
+            best_violations,
+            best,
+            stats: SolveStats::default(),
+            trail: Vec::new(),
+            undo_vars: Vec::new(),
+            queue: Vec::new(),
+            used: vec![false; n],
+        }
     }
 }
 
@@ -281,22 +447,15 @@ fn refresh_status(ctx: &Ctx<'_>, state: &mut State, ci: usize) {
 }
 
 /// Apply `var := value`, updating every touched constraint and logging
-/// undo records. Returns `false` on a hard conflict (state must still
-/// be undone by the caller).
-fn assign(
-    ctx: &Ctx<'_>,
-    state: &mut State,
-    trail: &mut Vec<TrailEntry>,
-    undo_vars: &mut Vec<usize>,
-    var: usize,
-    value: bool,
-) -> bool {
+/// undo records on the trail. Returns `false` on a hard conflict (state
+/// must still be undone by the caller).
+fn assign(ctx: &Ctx<'_>, state: &mut State, var: usize, value: bool) -> bool {
     debug_assert!(state.assigned[var].is_none());
     state.assigned[var] = Some(value);
-    undo_vars.push(var);
+    state.undo_vars.push(var);
     let mut ok = true;
     for &(ci, m) in &ctx.by_var[var] {
-        trail.push(TrailEntry {
+        state.trail.push(TrailEntry {
             constraint: ci,
             count: state.count[ci],
             remaining: state.remaining[ci],
@@ -314,9 +473,11 @@ fn assign(
     ok
 }
 
-/// Undo every trail entry and assignment made since the branch began.
-fn undo(ctx: &Ctx<'_>, state: &mut State, trail: &mut Vec<TrailEntry>, undo_vars: &mut Vec<usize>) {
-    while let Some(e) = trail.pop() {
+/// Undo every trail entry and assignment beyond the marks a branch took
+/// when it began (`state.trail.len()`, `state.undo_vars.len()`).
+fn undo(ctx: &Ctx<'_>, state: &mut State, (trail_mark, var_mark): (usize, usize)) {
+    while state.trail.len() > trail_mark {
+        let Some(e) = state.trail.pop() else { break };
         if state.status[e.constraint] == Status::Violated
             && e.status != Status::Violated
             && !ctx.hard[e.constraint]
@@ -327,7 +488,7 @@ fn undo(ctx: &Ctx<'_>, state: &mut State, trail: &mut Vec<TrailEntry>, undo_vars
         state.remaining[e.constraint] = e.remaining;
         state.status[e.constraint] = e.status;
     }
-    for v in undo_vars.drain(..) {
+    for v in state.undo_vars.drain(var_mark..) {
         state.assigned[v] = None;
     }
 }
@@ -335,17 +496,12 @@ fn undo(ctx: &Ctx<'_>, state: &mut State, trail: &mut Vec<TrailEntry>, undo_vars
 /// Unit propagation over hard constraints: if one value of an
 /// unassigned member makes the constraint's achievable range miss the
 /// selection set entirely, the other value is forced. Every assignment
-/// is recorded in `undo_vars`, so the caller can undo even after a
+/// is recorded on the trail, so the caller can undo even after a
 /// conflict. Returns `false` on conflict.
-fn propagate(
-    ctx: &Ctx<'_>,
-    state: &mut State,
-    trail: &mut Vec<TrailEntry>,
-    undo_vars: &mut Vec<usize>,
-    seed: usize,
-) -> bool {
-    let mut queue = vec![seed];
-    while let Some(v) = queue.pop() {
+fn propagate(ctx: &Ctx<'_>, state: &mut State, seed: usize) -> bool {
+    state.queue.clear();
+    state.queue.push(seed);
+    while let Some(v) = state.queue.pop() {
         for &(ci, _) in &ctx.by_var[v] {
             if !ctx.hard[ci] || state.status[ci] != Status::Open {
                 continue;
@@ -367,10 +523,10 @@ fn propagate(
                 };
                 if let Some(value) = forced {
                     state.stats.propagations += 1;
-                    if !assign(ctx, state, trail, undo_vars, u, value) {
+                    if !assign(ctx, state, u, value) {
                         return false;
                     }
-                    queue.push(u);
+                    state.queue.push(u);
                     // The constraint's bookkeeping changed; it is
                     // rescanned via u's queue entry (u is one of its
                     // members), so stop this stale scan.
@@ -382,21 +538,56 @@ fn propagate(
     true
 }
 
+/// Group lower bound on *additional* soft violation weight: each group
+/// charges its cheapest table entry that agrees with the partial
+/// assignment, less the prefer-false weight its TRUE members already
+/// added to `violated_soft`. `u64::MAX` when some group has no entry
+/// left, i.e. no completion satisfies its inner hard constraints.
+fn group_bound(ctx: &Ctx<'_>, state: &State) -> u64 {
+    let mut extra = 0u64;
+    for g in &ctx.groups {
+        let (mut fixed, mut value, mut paid) = (0usize, 0usize, 0u64);
+        for (i, &v) in g.vars[..g.len].iter().enumerate() {
+            if let Some(b) = state.assigned[v] {
+                fixed |= 1 << i;
+                if b {
+                    value |= 1 << i;
+                    paid += ctx.prefer_false[v];
+                }
+            }
+        }
+        let cheapest = g.table[..1 << g.len]
+            .iter()
+            .enumerate()
+            .filter(|&(mask, _)| mask & fixed == value)
+            .map(|(_, &entry)| entry)
+            .min()
+            .unwrap_or(u64::MAX);
+        if cheapest == u64::MAX {
+            return u64::MAX;
+        }
+        // Every agreeing mask sets the TRUE members, so `cheapest >= paid`.
+        extra += cheapest - paid;
+    }
+    extra
+}
+
 /// Matching-style lower bound on *additional* soft violations: every
 /// Open hard constraint whose selection now starts above its TRUE
 /// count forces that many more TRUEs among its unassigned members; if
 /// those members all carry prefer-false soft constraints and the
 /// member sets are chosen disjoint (greedy), each forced TRUE violates
 /// a distinct soft constraint.
-fn matching_bound(ctx: &Ctx<'_>, state: &State, used: &mut [bool]) -> u64 {
+fn matching_bound(ctx: &Ctx<'_>, state: &mut State) -> u64 {
+    let State { assigned, count, status, used, .. } = state;
     used.fill(false);
     let mut extra = 0u64;
     for (ci, members) in ctx.members.iter().enumerate() {
-        if !ctx.hard[ci] || state.status[ci] != Status::Open {
+        if !ctx.hard[ci] || status[ci] != Status::Open {
             continue;
         }
         let c = &ctx.program.constraints()[ci];
-        let lo = state.count[ci];
+        let lo = count[ci];
         let Some(&smin) = c.selection().range(lo..).next() else {
             continue;
         };
@@ -404,25 +595,23 @@ fn matching_bound(ctx: &Ctx<'_>, state: &State, used: &mut [bool]) -> u64 {
         if t_min == 0 {
             continue;
         }
-        let unassigned: Vec<usize> = members
-            .iter()
-            .filter(|&&(v, _)| state.assigned[v].is_none())
-            .map(|&(v, _)| v)
-            .collect();
-        if unassigned.is_empty() || unassigned.iter().any(|&v| used[v] || ctx.prefer_false[v] == 0)
-        {
+        let unassigned = members.iter().map(|&(v, _)| v).filter(|&v| assigned[v].is_none());
+        if unassigned.clone().any(|v| used[v] || ctx.prefer_false[v] == 0) {
             continue;
         }
         // The forced TRUEs each violate at least the cheapest member's
-        // prefer-false weight. (`unassigned` was checked non-empty
-        // above; the let-else keeps this hot path panic-free anyway.)
-        let Some(min_w) = unassigned.iter().map(|&v| ctx.prefer_false[v]).min() else {
+        // prefer-false weight. An Open constraint needing TRUEs has an
+        // unassigned member; the let-else keeps this hot path
+        // panic-free anyway.
+        let Some(min_w) = unassigned.clone().map(|v| ctx.prefer_false[v]).min() else {
             continue;
         };
-        for &v in &unassigned {
+        let mut free = 0;
+        for v in unassigned {
             used[v] = true;
+            free += 1;
         }
-        extra += (t_min.min(unassigned.len()) as u64) * min_w;
+        extra += (t_min.min(free) as u64) * min_w;
     }
     extra
 }
@@ -439,11 +628,16 @@ fn search(ctx: &Ctx<'_>, state: &mut State, on_incumbent: &mut dyn FnMut(&Incumb
     if state.violated_soft >= state.best_violations {
         return;
     }
-    // Stronger bound via forced TRUEs on minimization variables.
+    // Stronger bounds via forced TRUEs on minimization variables: prune
+    // on `violated_soft + max(group, matching)`.
     if state.best_violations != u64::MAX {
-        let mut used = vec![false; state.assigned.len()];
-        let extra = matching_bound(ctx, state, &mut used);
-        if state.violated_soft + extra >= state.best_violations {
+        let best = state.best_violations;
+        let prunes = |state: &State, extra: u64| state.violated_soft.saturating_add(extra) >= best;
+        if prunes(state, group_bound(ctx, state)) {
+            return;
+        }
+        let matching = matching_bound(ctx, state);
+        if prunes(state, matching) {
             return;
         }
     }
@@ -466,14 +660,11 @@ fn search(ctx: &Ctx<'_>, state: &mut State, on_incumbent: &mut dyn FnMut(&Incumb
         return;
     };
     for value in [false, true] {
-        let mut trail: Vec<TrailEntry> = Vec::new();
-        let mut undo_vars: Vec<usize> = Vec::new();
-        if assign(ctx, state, &mut trail, &mut undo_vars, var, value)
-            && propagate(ctx, state, &mut trail, &mut undo_vars, var)
-        {
+        let marks = (state.trail.len(), state.undo_vars.len());
+        if assign(ctx, state, var, value) && propagate(ctx, state, var) {
             search(ctx, state, on_incumbent);
         }
-        undo(ctx, state, &mut trail, &mut undo_vars);
+        undo(ctx, state, marks);
         if state.stats.truncated {
             return;
         }
@@ -725,6 +916,124 @@ mod tests {
             }
             let _ = trial;
             assert_matches_brute(&p);
+        }
+    }
+
+    /// Minimum vertex cover of circulant(n, 4): vertex `i` meets
+    /// `i + 1` and `i + 2` (mod n), and prefers FALSE.
+    fn circulant_cover(n: usize) -> Program {
+        let mut p = Program::new();
+        let vs = p.new_vars("v", n).unwrap();
+        for i in 0..n {
+            for d in [1, 2] {
+                p.nck(vec![vs[i], vs[(i + d) % n]], [1, 2]).unwrap();
+            }
+        }
+        for &v in &vs {
+            p.nck_soft(vec![v], [0]).unwrap();
+        }
+        p
+    }
+
+    #[test]
+    fn bounds_never_exceed_the_best_completion() {
+        // Seeded mixed programs with weighted prefer-false preferences,
+        // at random partial assignments: the weight already violated
+        // plus either bound must not exceed the least violated weight
+        // of any feasible completion (brute force), and the group bound
+        // may call a node infeasible only if no completion is feasible.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let token = CancelToken::never();
+        let (mut charged, mut infeasible) = (0, 0);
+        for _ in 0..100 {
+            let n = 5 + (next() % 5) as usize; // 5..9 vars
+            let mut p = Program::new();
+            let vs = p.new_vars("v", n).unwrap();
+            for _ in 0..n {
+                let k = 1 + (next() % 3) as usize;
+                let col: Vec<_> = (0..k).map(|_| vs[(next() % n as u64) as usize]).collect();
+                let mut sel: Vec<u32> = (0..=k as u32).filter(|_| next() % 3 != 0).collect();
+                if sel.is_empty() {
+                    sel.push((next() % (k as u64 + 1)) as u32);
+                }
+                if next() % 4 == 0 {
+                    p.nck_soft_weighted(col, sel, 1 + (next() % 3) as u32).unwrap();
+                } else {
+                    p.nck(col, sel).unwrap();
+                }
+            }
+            for &v in &vs {
+                if next() % 4 != 0 {
+                    p.nck_soft_weighted(vec![v], [0], 1 + (next() % 3) as u32).unwrap();
+                }
+            }
+            let ctx = Ctx::new(&p, &SolverOptions::default(), &token);
+            for _ in 0..6 {
+                let mut state = State::new(&p, None, u64::MAX);
+                for ci in 0..p.constraints().len() {
+                    refresh_status(&ctx, &mut state, ci);
+                }
+                for v in 0..n {
+                    match next() % 4 {
+                        0 => _ = assign(&ctx, &mut state, v, false),
+                        1 => _ = assign(&ctx, &mut state, v, true),
+                        _ => {}
+                    }
+                }
+                let best = (0u32..1 << n)
+                    .map(|mask| (0..n).map(|i| mask >> i & 1 == 1).collect::<Vec<bool>>())
+                    .filter(|x| {
+                        state.assigned.iter().zip(x).all(|(a, &b)| a.is_none_or(|a| a == b))
+                    })
+                    .filter(|x| p.all_hard_satisfied(x))
+                    .map(|x| p.total_soft_weight() - p.evaluate(&x).soft_weight_satisfied)
+                    .min();
+                let group = group_bound(&ctx, &state);
+                let matching = matching_bound(&ctx, &mut state);
+                match best {
+                    Some(best) => {
+                        assert!(state.violated_soft + group <= best, "group bound on {p}");
+                        assert!(state.violated_soft + matching <= best, "matching bound on {p}");
+                        charged += usize::from(group > 0);
+                    }
+                    None => infeasible += usize::from(group == u64::MAX),
+                }
+            }
+        }
+        // The check has teeth: the bound charges, and finds dead ends.
+        assert!(charged >= 50 && infeasible >= 50, "charged {charged}, infeasible {infeasible}");
+    }
+
+    #[test]
+    fn circulant_64_root_group_bound_is_42() {
+        // 21 triangles {3i, 3i+1, 3i+2} each need two TRUEs; the
+        // optimum cover has 43 vertices.
+        let p = circulant_cover(64);
+        let token = CancelToken::never();
+        let ctx = Ctx::new(&p, &SolverOptions::default(), &token);
+        assert_eq!(ctx.groups.len(), 21);
+        assert!(ctx.groups.iter().all(|g| g.len == 3));
+        let state = State::new(&p, None, u64::MAX);
+        assert_eq!(group_bound(&ctx, &state), 42);
+    }
+
+    #[test]
+    fn circulant_64_solves_within_ten_thousand_nodes() {
+        let p = circulant_cover(64);
+        let (outcome, stats) = solve(&p, &SolverOptions { node_limit: 10_000 });
+        assert!(!stats.truncated, "{} nodes", stats.nodes);
+        match outcome {
+            SolveOutcome::Solved { assignment, soft_satisfied, .. } => {
+                assert_eq!(soft_satisfied, 64 - 43);
+                assert!(p.all_hard_satisfied(&assignment));
+            }
+            other => panic!("unexpected {other:?}"),
         }
     }
 }
