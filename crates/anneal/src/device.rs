@@ -81,24 +81,6 @@ impl AnnealResult {
     pub fn best(&self) -> &AnnealSample {
         &self.samples[0]
     }
-
-    /// Aggregate identical assignments, Ocean-`SampleSet` style:
-    /// `(assignment, energy, num_occurrences)` sorted by ascending
-    /// energy then descending count.
-    pub fn aggregate(&self) -> Vec<(Vec<bool>, f64, usize)> {
-        let mut counts: std::collections::HashMap<Vec<bool>, (f64, usize)> =
-            std::collections::HashMap::new();
-        for s in &self.samples {
-            let e = counts.entry(s.assignment.clone()).or_insert((s.energy, 0));
-            e.1 += 1;
-        }
-        let mut out: Vec<(Vec<bool>, f64, usize)> =
-            counts.into_iter().map(|(a, (e, c))| (a, e, c)).collect();
-        out.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1).unwrap().then_with(|| b.2.cmp(&a.2)).then_with(|| a.0.cmp(&b.0))
-        });
-        out
-    }
 }
 
 /// An embedding found by [`AnnealerDevice::embed`].
@@ -583,21 +565,6 @@ mod tests {
         let dev = AnnealerDevice::advantage_4_1();
         let r = dev.sample_qubo(&q, 10, 5).unwrap();
         assert!(r.physical_qubits >= 12);
-    }
-
-    #[test]
-    fn aggregate_counts_duplicates() {
-        let dev = AnnealerDevice::ideal(8);
-        let r = dev.sample_qubo(&edge_qubo(), 40, 7).unwrap();
-        let agg = r.aggregate();
-        let total: usize = agg.iter().map(|(_, _, c)| c).sum();
-        assert_eq!(total, 40);
-        assert!(agg.len() <= 4, "only 4 assignments exist");
-        // Sorted by energy: the ground states come first.
-        assert_eq!(agg[0].1, -1.0);
-        for w in agg.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 
     #[test]
