@@ -5,8 +5,11 @@
 //! behind Definition 8 classification (§VII).
 //!
 //! * [`solver`] — branch-and-bound over NchooseK programs *directly*:
-//!   cardinality propagation, soft-violation bounding. Fast, like Z3 on
-//!   the original constraints.
+//!   cardinality propagation, and a group lower bound on the soft
+//!   weight still to be violated (after Li, Manyà & Planes' MaxSAT
+//!   branch and bound). It solves Fig. 12's circulant covers in under a
+//!   millisecond, as Z3 does the original constraints; its static
+//!   branching order makes node counts depend on the variable labels.
 //! * [`qubo_bb`] — branch-and-bound over *translated QUBOs*: exact but
 //!   much slower on dense instances, reproducing the paper's
 //!   observation that classical solvers handle the QUBO form poorly.

@@ -31,11 +31,11 @@
 //!
 //! Both bounds are admissible, so they cut only subtrees with no
 //! strictly better leaf: the incumbent sequence and the answer are the
-//! same as an unbounded search's; only the node count moves. The static
-//! branching order follows the variable labels among equally
-//! constrained variables, so node counts depend on the labelling — a
-//! randomly relabelled circulant(64, 4) still takes hundreds of
-//! thousands of nodes.
+//! same as an unbounded search's; only the node count moves. The greedy
+//! grouping and the static branching order both follow the variable
+//! labels, so node counts depend on the labelling: a randomly
+//! relabelled circulant(64, 4) still takes hundreds of thousands of
+//! nodes.
 
 use nck_cancel::CancelToken;
 use nck_core::{Constraint, Program};
@@ -476,8 +476,7 @@ fn assign(ctx: &Ctx<'_>, state: &mut State, var: usize, value: bool) -> bool {
 /// Undo every trail entry and assignment beyond the marks a branch took
 /// when it began (`state.trail.len()`, `state.undo_vars.len()`).
 fn undo(ctx: &Ctx<'_>, state: &mut State, (trail_mark, var_mark): (usize, usize)) {
-    while state.trail.len() > trail_mark {
-        let Some(e) = state.trail.pop() else { break };
+    for e in state.trail.drain(trail_mark..).rev() {
         if state.status[e.constraint] == Status::Violated
             && e.status != Status::Violated
             && !ctx.hard[e.constraint]
